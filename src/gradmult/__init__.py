@@ -10,7 +10,6 @@ from .algebra import (
     AlgElement,
     AlgIdeal,
     GradedAlgebra,
-    INFINITE,
     make_algebra,
     minimal_basis,
 )
@@ -23,7 +22,7 @@ from .errors import (
     NoStabilization,
     SearchExhausted,
 )
-from .groebner import PolyIdeal, buchberger, normal_form
+from .groebner import INFINITE, PolyIdeal, buchberger, normal_form
 from .hilbert import HilbertData, hilbert_data
 from .mixed_rees import (
     MixedMultiplicityTable,

@@ -5,13 +5,10 @@ is representation equality.  Ideals carry their lift P + (representatives) and
 every ideal-level operation delegates to the polynomial side.
 """
 
-import math
-from .groebner import PolyIdeal
+from .groebner import INFINITE, PolyIdeal
 from .hilbert import hilbert_data
 from .monomials import monomials_up_to as _monomials_up_to
 from .polynomials import Polynomial
-
-INFINITE = math.inf
 
 
 class GradedAlgebra:

@@ -11,8 +11,8 @@ can be read off as the sorted orders of the rewritten basis.
 
 from dataclasses import dataclass
 
-from .algebra import INFINITE, AlgIdeal, _rref_insert, minimal_basis
-from .groebner import PolyIdeal
+from .algebra import AlgIdeal, _rref_insert, minimal_basis
+from .groebner import INFINITE, PolyIdeal
 from .monomials import monomials_of_degree
 from .polynomials import Polynomial
 

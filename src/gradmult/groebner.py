@@ -7,10 +7,12 @@ saturation, intersection, elimination, dimension) go through it.
 
 import itertools
 import math
+import threading
 from heapq import heappop, heappush
 
 from .monomials import (
     MonomialOrder,
+    minimal_monomials,
     mono_coprime,
     mono_div,
     mono_divides,
@@ -74,38 +76,69 @@ def normal_form(f, basis):
     return Polynomial(ring, out)
 
 
-def _minimalize_monomials(monos):
-    """Minimal generators of the monomial ideal spanned by monos."""
-    out = []
-    for m in sorted(set(monos), key=lambda e: (sum(e), e)):
-        if not any(mono_divides(k, m) for k in out):
-            out.append(m)
-    return out
+# Reduced bases by exact input.  Orders are global, so the reduced basis of
+# an ideal is unique for a fixed ring key; a hit is exact, never approximate.
+# Least recently used entries go first once the memo holds _MEMO_CAP inputs.
+_MEMO_CAP = 2048
+_memo = {}
+_memo_lock = threading.Lock()
+
+
+def _flat_key(p):
+    """p's terms as one flat (exp, coeff, exp, coeff, ...) tuple, sorted by exponent."""
+    return tuple(itertools.chain.from_iterable(sorted(p.coeffs.items())))
+
+
+def _distinct_monic(gens):
+    """(ring, {flat key: monic generator}) of the nonzero generators, in first-seen order."""
+    gens = tuple(gens)
+    if not gens:
+        return None, {}
+    ring = gens[0].ring
+    polys = {}
+    for g in gens:
+        if g.ring is not ring and g.ring != ring:
+            raise ValueError("generators come from different rings")
+        if g.coeffs:
+            g = g.monic()
+            polys.setdefault(_flat_key(g), g)
+    return ring, polys
 
 
 def buchberger(gens):
     """Reduced Groebner basis, sorted ascending by leading monomial.
 
-    Pair selection is by minimal lcm degree with FIFO tie-break; skips use the
-    coprimality criterion and the classic chain criterion.
+    Memoised by the ring key and the set of monic generators, so rescaled,
+    reordered or repeated generator lists of one ideal share one entry.
+    The returned polynomials are shared between callers and never mutated.
     """
-    polys = []
-    seen = set()
-    for g in gens:
-        if not g.coeffs:
-            continue
-        g = g.monic()
-        h = frozenset(g.coeffs.items())
-        if h not in seen:
-            seen.add(h)
-            polys.append(g)
+    ring, polys = _distinct_monic(gens)
     if not polys:
         return ()
+    key = (ring.key(), frozenset(polys))
+    with _memo_lock:
+        basis = _memo.pop(key, None)
+    if basis is None:
+        basis = _reduced_basis(tuple(polys.values()))
+    with _memo_lock:
+        if len(_memo) >= _MEMO_CAP:
+            del _memo[next(iter(_memo))]
+        _memo[key] = basis
+    return basis
+
+
+def _reduced_basis(polys):
+    """Reduced Groebner basis of distinct nonzero monic polynomials of one ring.
+
+    The uncached core of buchberger.  Pair selection is by minimal lcm degree
+    with FIFO tie-break; skips use the coprimality criterion and the classic
+    chain criterion.
+    """
     ring = polys[0].ring
     okey = ring.order.key
 
     if all(p.is_term() for p in polys):
-        minimal = _minimalize_monomials([p.leading_monomial() for p in polys])
+        minimal = minimal_monomials([p.leading_monomial() for p in polys])
         return tuple(
             ring.monomial(m) for m in sorted(minimal, key=okey)
         )

@@ -9,7 +9,7 @@ closed-form base case.
 import math
 from dataclasses import dataclass
 
-from .monomials import mono_divides
+from .monomials import minimal_monomials
 
 
 def _poly_trim(a):
@@ -50,14 +50,6 @@ def _one_minus_tk(k):
     return out
 
 
-def _minimalize(gens):
-    out = []
-    for m in sorted(set(gens), key=lambda e: (sum(e), e)):
-        if not any(mono_divides(k, m) for k in out):
-            out.append(m)
-    return out
-
-
 def _numerator(gens):
     """Numerator over (1-t)^n for the monomial ideal with these minimal generators."""
     if not gens:
@@ -78,7 +70,7 @@ def _numerator(gens):
     pivot = counts.index(top)
     pure = tuple(1 if i == pivot else 0 for i in range(n))
     plus_gens = [m for m in gens if m[pivot] == 0] + [pure]
-    colon_gens = _minimalize(
+    colon_gens = minimal_monomials(
         m[:pivot] + (m[pivot] - 1,) + m[pivot + 1:] if m[pivot] else m for m in gens
     )
     return _poly_add(_numerator(plus_gens), _poly_shift(_numerator(colon_gens), 1))

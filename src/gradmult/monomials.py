@@ -27,6 +27,15 @@ def mono_degree(a):
     return sum(a)
 
 
+def minimal_monomials(monos):
+    """Minimal generators of the monomial ideal spanned by monos, smallest degree first."""
+    out = []
+    for m in sorted(set(monos), key=lambda e: (sum(e), e)):
+        if not any(mono_divides(k, m) for k in out):
+            out.append(m)
+    return out
+
+
 def monomials_of_degree(n, d):
     """All exponent tuples in n variables of total degree exactly d."""
     if n == 1:

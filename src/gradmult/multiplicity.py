@@ -7,10 +7,10 @@ window can never change the answer.
 
 from dataclasses import dataclass
 
-from .algebra import INFINITE, minimal_basis
+from .algebra import minimal_basis
 from .degseq import degree_sequence
 from .errors import HypothesisFail, Inconclusive, NoStabilization
-from .groebner import PolyIdeal
+from .groebner import INFINITE, PolyIdeal
 from .hilbert import hilbert_data
 
 

@@ -11,9 +11,10 @@ import json
 import time
 from dataclasses import dataclass
 
-from .algebra import INFINITE, make_algebra, minimal_basis
+from .algebra import make_algebra, minimal_basis
 from .degseq import degree_sequence, initial_ideal, verify_initial_transfer
 from .errors import FitMismatch, HypothesisFail, Inconclusive, KernelError
+from .groebner import INFINITE
 from .mixed_rees import (
     bhattacharya_oracle,
     invariance_check,
@@ -46,6 +47,7 @@ TAG_QUOTIENT = ("Rem-2.13", "Thm-2.14")
 
 _HYPOTHESIS_CODES = {"HYPOTHESIS-FAIL", "FIT-MISMATCH"}
 _INCONCLUSIVE_CODES = {"NO-STABILIZATION", "SEARCH-EXHAUSTED", "INCONCLUSIVE"}
+_INTERNAL_CODE = "INTERNAL-ERROR"
 
 
 class UsageError(KernelError):
@@ -481,26 +483,30 @@ def run_command(session, command):
         report.setdefault("tags", [])
     except ArithmeticError as exc:
         report["status"] = "error"
-        report["error"] = {"code": "INTERNAL-ERROR", "message": str(exc)}
+        report["error"] = {"code": _INTERNAL_CODE, "message": str(exc)}
         report.setdefault("tags", [])
     report["wall_time_ms"] = int((time.perf_counter() - started) * 1000)
     return report
 
 
 def classify_exit(reports):
-    """0 all agreements pass; 1 usage; 2 hypothesis refuted; 3 inconclusive."""
+    """Exit code of a run, highest priority first: 4 a kernel invariant failed
+    (an internal error, not the input's fault); 1 usage error; 2 a hypothesis
+    was refuted or two routes disagreed; 3 inconclusive; 0 all agreements pass."""
     worst = 0
     saw_hypothesis = False
     saw_inconclusive = False
     for rep in reports:
         code = rep.get("error", {}).get("code")
         if rep["status"] == "error":
-            if code in _HYPOTHESIS_CODES:
+            if code == _INTERNAL_CODE:
+                worst = 4
+            elif code in _HYPOTHESIS_CODES:
                 saw_hypothesis = True
             elif code in _INCONCLUSIVE_CODES:
                 saw_inconclusive = True
             else:
-                worst = 1
+                worst = max(worst, 1)
         if rep.get("agree") is False:
             saw_hypothesis = True
         for v in rep.get("values", {}).values():
@@ -508,8 +514,8 @@ def classify_exit(reports):
                 saw_hypothesis = True
             if isinstance(v, str) and v in _INCONCLUSIVE_CODES:
                 saw_inconclusive = True
-    if worst == 1:
-        return 1
+    if worst:
+        return worst
     if saw_hypothesis:
         return 2
     if saw_inconclusive:

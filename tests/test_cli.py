@@ -34,6 +34,14 @@ ring S vars [x, y] field qq relations [];
 cmd bogus x;
 """
 
+# not supported at the origin: minimal_basis finds candidates that fail to
+# generate and raises ArithmeticError, a kernel fault rather than bad input
+INTERNAL = """\
+ring S vars [x, y] field qq relations [];
+ideal I = [x^2 - x, x*y + x];
+cmd degseq I;
+"""
+
 
 def _write(tmp_path, name, text):
     p = tmp_path / name
@@ -118,6 +126,17 @@ def test_exit_code_usage_error(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert rc == 1
     assert doc["reports"][0]["error"]["code"] == "USAGE-ERROR"
+
+
+def test_exit_code_internal_error(tmp_path, capsys):
+    rc = main(["run", _write(tmp_path, "internal.gm", INTERNAL)])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 4
+    assert doc["summary"]["exit_code"] == 4
+    assert doc["reports"][0]["error"]["code"] == "INTERNAL-ERROR"
+    # a kernel fault outranks a usage error elsewhere in the script
+    assert main(["run", _write(tmp_path, "both.gm", INTERNAL + "cmd bogus x;\n")]) == 4
+    capsys.readouterr()
 
 
 def test_exit_code_priority(tmp_path, capsys):
