@@ -5,8 +5,9 @@ is representation equality.  Ideals carry their lift P + (representatives) and
 every ideal-level operation delegates to the polynomial side.
 """
 
-from .groebner import INFINITE, PolyIdeal
+from .groebner import INFINITE, PolyIdeal, memo_power
 from .hilbert import hilbert_data
+from .linalg import rref_insert
 from .monomials import monomials_up_to as _monomials_up_to
 from .polynomials import Polynomial
 
@@ -249,17 +250,7 @@ class AlgIdeal:
     __mul__ = times
 
     def power(self, k):
-        if k < 0:
-            raise ValueError("negative ideal power")
-        if self._powers is None:
-            self._powers = {0: AlgIdeal(self.algebra, (self.algebra.one(),)), 1: self}
-        if k not in self._powers:
-            top = max(n for n in self._powers if n <= k)
-            acc = self._powers[top]
-            for n in range(top + 1, k + 1):
-                acc = acc.times(self)
-                self._powers[n] = acc
-        return self._powers[k]
+        return memo_power(self, k, lambda: AlgIdeal(self.algebra, (self.algebra.one(),)))
 
     def _check(self, other):
         if not isinstance(other, AlgIdeal) or other.algebra != self.algebra:
@@ -267,44 +258,6 @@ class AlgIdeal:
 
     def __repr__(self):
         return "AlgIdeal(" + ", ".join(repr(g) for g in self.gens) + ")"
-
-
-def _rref_insert(pivots, row, field):
-    """Insert a row (dict col->coeff) into a fully reduced echelon form in place.
-
-    Returns True if the row added a new pivot, False if it reduced to zero.
-    """
-    r = dict(row)
-    fsub, fmul = field.sub, field.mul
-    while r:
-        p = min(r)
-        if p in pivots:
-            c = r.pop(p)
-            for col, pc in pivots[p].items():
-                if col == p:
-                    continue
-                v = fsub(r.get(col, 0), fmul(c, pc))
-                if v == 0:
-                    r.pop(col, None)
-                else:
-                    r[col] = v
-        else:
-            inv = field.inv(r[p])
-            r = {col: fmul(v, inv) for col, v in r.items()}
-            for prow in pivots.values():
-                if p in prow:
-                    c = prow.pop(p)
-                    for col, v in r.items():
-                        if col == p:
-                            continue
-                        w = fsub(prow.get(col, 0), fmul(c, v))
-                        if w == 0:
-                            prow.pop(col, None)
-                        else:
-                            prow[col] = w
-            pivots[p] = r
-            return True
-    return False
 
 
 def _truncated_span(algebra, lifted, cap, colindex):
@@ -325,7 +278,7 @@ def _truncated_span(algebra, lifted, cap, colindex):
             if not h.coeffs:
                 continue
             row = {colindex[e]: c for e, c in h.coeffs.items()}
-            _rref_insert(pivots, row, field)
+            rref_insert(pivots, row, field)
     return pivots
 
 
@@ -359,9 +312,6 @@ def minimal_basis(ideal, degree_cap=None):
     for p in ordered:
         poly = Polynomial(ring, {cols[c]: v for c, v in span_i[p].items()})
         basis.append(AlgElement(algebra, poly))
-    check = PolyIdeal(
-        ring, algebra.defining.groebner() + tuple(b.rep for b in basis)
-    )
-    if not check.equals(ideal.lift):
+    if not AlgIdeal(algebra, basis).lift.equals(ideal.lift):
         raise ArithmeticError("minimal basis candidates fail to generate")
     return basis

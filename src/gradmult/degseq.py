@@ -11,8 +11,9 @@ can be read off as the sorted orders of the rewritten basis.
 
 from dataclasses import dataclass
 
-from .algebra import AlgIdeal, _rref_insert, minimal_basis
+from .algebra import AlgIdeal, minimal_basis
 from .groebner import INFINITE, PolyIdeal
+from .linalg import rref_insert, solve
 from .monomials import monomials_of_degree
 from .polynomials import Polynomial
 
@@ -47,7 +48,7 @@ def _degree_slice(algebra, lifted, n):
         h = bound.normal_form(Polynomial(ring, {w: one}))
         row = {("a", e): c for e, c in h.coeffs.items()}
         row[("z", i)] = one
-        _rref_insert(pivots, row, field)
+        rref_insert(pivots, row, field)
     out = []
     for p, prow in sorted(pivots.items()):
         if p[0] != "z":
@@ -91,56 +92,6 @@ def _initial_generators(ideal, shrunk, stop):
     return out
 
 
-def _combination(field, vecs, target):
-    """Coefficients expressing target as a combination of vecs, or None.
-
-    Dense Gaussian elimination over the coefficient field; vectors are coeff
-    dicts.  Free variables are set to zero.
-    """
-    cols = set(target)
-    for v in vecs:
-        cols.update(v)
-    order = sorted(cols)
-    index = {c: k for k, c in enumerate(order)}
-    m, n = len(order), len(vecs)
-    rows = [[field.zero] * n for _ in range(m)]
-    for j, v in enumerate(vecs):
-        for c, val in v.items():
-            rows[index[c]][j] = val
-    rhs = [field.zero] * m
-    for c, val in target.items():
-        rhs[index[c]] = val
-    rank = 0
-    piv = []
-    for j in range(n):
-        hit = next((i for i in range(rank, m) if rows[i][j] != field.zero), None)
-        if hit is None:
-            continue
-        rows[rank], rows[hit] = rows[hit], rows[rank]
-        rhs[rank], rhs[hit] = rhs[hit], rhs[rank]
-        inv = field.inv(rows[rank][j])
-        rows[rank] = [field.mul(inv, v) for v in rows[rank]]
-        rhs[rank] = field.mul(inv, rhs[rank])
-        for i in range(m):
-            if i != rank and rows[i][j] != field.zero:
-                c = rows[i][j]
-                rows[i] = [
-                    field.sub(a, field.mul(c, b)) for a, b in zip(rows[i], rows[rank])
-                ]
-                rhs[i] = field.sub(rhs[i], field.mul(c, rhs[rank]))
-        piv.append(j)
-        rank += 1
-        if rank == m:
-            break
-    for i in range(rank, m):
-        if rhs[i] != field.zero:
-            return None
-    sol = [field.zero] * n
-    for i, j in enumerate(piv):
-        sol[j] = rhs[i]
-    return sol
-
-
 def _absorbed_rewrite(algebra, basis, j, eligible):
     """Subtract a homogeneous combination of the eligible members from basis[j].
 
@@ -160,7 +111,7 @@ def _absorbed_rewrite(algebra, basis, j, eligible):
         for u in _standard_of_degree(algebra, n - basis[i].order):
             vecs.append(P.normal_form(g.mul_term(u, field.one)).coeffs)
             terms.append((i, u))
-    sol = _combination(field, vecs, target.coeffs)
+    sol = solve(field, vecs, target.coeffs)
     if sol is None:
         raise ArithmeticError("absorbed initial form admits no homogeneous cofactors")
     new = basis[j]
@@ -203,11 +154,8 @@ def initial_ideal(ideal):
             ]
             if not eligible:
                 continue
-            span = PolyIdeal(
-                ring,
-                P.groebner() + tuple(basis[i].initial_form.rep for i in eligible),
-            )
-            if span.contains(basis[j].initial_form.rep):
+            span = AlgIdeal(algebra, [basis[i].initial_form for i in eligible])
+            if span.lift.contains(basis[j].initial_form.rep):
                 hit = (j, eligible)
                 break
         if hit is None:

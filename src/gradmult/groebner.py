@@ -19,7 +19,7 @@ from .monomials import (
     mono_lcm,
     mono_mul,
 )
-from .polynomials import Polynomial, PolyRing, map_vars
+from .polynomials import Polynomial, map_vars
 
 INFINITE = math.inf
 
@@ -239,6 +239,36 @@ def exact_quotient(f, b):
     return Polynomial(ring, quot)
 
 
+def eliminate_into(gens, drop, ring):
+    """The ideal of ring generated by the reduced-basis members of gens free of drop.
+
+    gens share a ring whose order eliminates the variables in drop, so those
+    members generate the elimination ideal.  ring has the same variables as
+    gens, or all but the last one, which is then the variable dropped.
+    """
+    width = ring.n
+    kept = []
+    for g in buchberger(gens):
+        if all(e[i] == 0 for e in g.coeffs for i in drop):
+            kept.append(Polynomial(ring, {e[:width]: c for e, c in g.coeffs.items()}))
+    return PolyIdeal(ring, tuple(kept))
+
+
+def memo_power(ideal, k, unit):
+    """ideal^k by repeated times(), each power kept in ideal._powers.
+
+    unit() makes the zeroth power the first time a power is asked for.
+    """
+    if k < 0:
+        raise ValueError("negative ideal power")
+    if ideal._powers is None:
+        ideal._powers = [unit(), ideal]
+    powers = ideal._powers
+    while len(powers) <= k:
+        powers.append(powers[-1].times(ideal))
+    return powers[k]
+
+
 def _fresh_name(taken, base):
     name = base
     while name in taken:
@@ -325,17 +355,7 @@ class PolyIdeal:
     __mul__ = times
 
     def power(self, k):
-        if k < 0:
-            raise ValueError("negative ideal power")
-        if self._powers is None:
-            self._powers = {0: PolyIdeal.unit(self.ring), 1: self}
-        if k not in self._powers:
-            top = max(n for n in self._powers if n <= k)
-            acc = self._powers[top]
-            for n in range(top + 1, k + 1):
-                acc = acc.times(self)
-                self._powers[n] = acc
-        return self._powers[k]
+        return memo_power(self, k, lambda: PolyIdeal.unit(self.ring))
 
     def _check_ring(self, other):
         if not isinstance(other, PolyIdeal) or other.ring != self.ring:
@@ -348,20 +368,13 @@ class PolyIdeal:
         ring = self.ring
         n = ring.n
         tag = _fresh_name(ring.names, "t")
-        bring = PolyRing(
-            ring.names + (tag,), ring.field, MonomialOrder.elimination(n + 1, (n,))
-        )
+        bring = ring.extended((tag,), MonomialOrder.elimination(n + 1, (n,)))
         pos = tuple(range(n))
         t = bring.var(n)
         onemt = bring.one() - t
         gens = [map_vars(a, bring, pos) * t for a in self.groebner()]
         gens += [map_vars(b, bring, pos) * onemt for b in other.groebner()]
-        gb = buchberger(gens)
-        kept = []
-        for g in gb:
-            if all(e[n] == 0 for e in g.coeffs):
-                kept.append(Polynomial(ring, {e[:n]: c for e, c in g.coeffs.items()}))
-        return PolyIdeal(ring, tuple(kept))
+        return eliminate_into(gens, (n,), ring)
 
     def colon(self, other):
         """(self : other); other may be a Polynomial or a PolyIdeal."""
@@ -398,12 +411,7 @@ class PolyIdeal:
             raise ValueError("variable index out of range")
         ering = self.ring.with_order(MonomialOrder.elimination(n, drop))
         egens = [Polynomial(ering, dict(g.coeffs)) for g in self.gens]
-        gb = buchberger(egens)
-        kept = []
-        for g in gb:
-            if all(all(e[i] == 0 for i in drop) for e in g.coeffs):
-                kept.append(Polynomial(self.ring, dict(g.coeffs)))
-        return PolyIdeal(self.ring, tuple(kept))
+        return eliminate_into(egens, drop, self.ring)
 
     # -- dimensions ----------------------------------------------------------
 

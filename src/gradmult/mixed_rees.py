@@ -8,17 +8,17 @@ are the degree-sequence product formulas; the two sides are never mixed.
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 from .algebra import AlgIdeal, minimal_basis
 from .degseq import degree_sequence
 from .errors import FitMismatch, HypothesisFail
-from .groebner import PolyIdeal, _fresh_name, buchberger
+from .groebner import PolyIdeal, _fresh_name, eliminate_into
 from .hilbert import hilbert_data
-from .monomials import MonomialOrder, monomials_of_degree, monomials_up_to
-from .multiplicity import SamuelResult, quotient_multiplicity, stable_difference
-from .polynomials import Polynomial, PolyRing, map_vars
+from .linalg import rref_insert, solve
+from .monomials import MonomialOrder, monomials_up_to
+from .multiplicity import SamuelResult, adic_colength, quotient_multiplicity, windowed_oracle
+from .polynomials import PolyRing, map_vars
 from .reductions import (
     FcWindow,
     _fc_check_on_lift,
@@ -26,6 +26,7 @@ from .reductions import (
     height_and_equimultiple,
     is_reduction,
 )
+from .scalars import QQ
 
 
 @dataclass
@@ -52,23 +53,14 @@ def rees_presentation(I):
     tvar = _fresh_name(set(names) | set(t_names), "t")
     n = algebra.ring.n
     total = n + s + 1
-    ering = PolyRing(
-        tuple(names) + tuple(t_names) + (tvar,),
-        algebra.ring.field,
-        MonomialOrder.elimination(total, (total - 1,)),
-    )
+    pring = PolyRing(tuple(names) + tuple(t_names), algebra.ring.field)
+    ering = pring.extended((tvar,), MonomialOrder.elimination(total, (total - 1,)))
     pos = tuple(range(n))
     egens = [map_vars(p, ering, pos) for p in algebra.defining.groebner()]
     t = ering.var(total - 1)
     for j, g in enumerate(gens):
         egens.append(ering.var(n + j) - map_vars(g.rep, ering, pos) * t)
-    gb = buchberger(egens)
-    pring = PolyRing(tuple(names) + tuple(t_names), algebra.ring.field)
-    kept = []
-    for g in gb:
-        if all(e[total - 1] == 0 for e in g.coeffs):
-            kept.append(Polynomial(pring, {e[:-1]: c for e, c in g.coeffs.items()}))
-    rees = PolyIdeal(pring, tuple(kept))
+    rees = eliminate_into(egens, (total - 1,), pring)
     dim = rees.krull_dimension()
     height = algebra.dim - I.lift.krull_dimension()
     if height > 0 and dim != algebra.dim + 1:
@@ -89,32 +81,31 @@ def rees_multiplicity_oracle(I, window=None):
     D = pres.dim
     if D < 1:
         raise ValueError("Rees quotient is Artinian; adic multiplicity undefined")
-    if window is None:
-        window = (1, D + 6)
-    lo, hi = window
-    if lo < 1 or hi - lo < D + 3:
-        raise ValueError("window must start at 1+ and span at least dim + 3 steps")
-    ring = pres.ambient
-    if pres.rees_ideal.is_homogeneous():
-        hd = hilbert_data(pres.rees_ideal)
-        hf = [hd.hilbert_function(t) for t in range(hi)]
-        lengths = [sum(hf[:k]) for k in range(lo, hi + 1)]
+    rees = pres.rees_ideal
+    if rees.is_homogeneous():
+        hf = hilbert_data(rees).hilbert_function
+        result = windowed_oracle(D, window, 1, lambda k: sum(map(hf, range(k))))
         route = "series"
     else:
-        gb = pres.rees_ideal.groebner()
-        lengths = []
-        for k in range(lo, hi + 1):
-            power_gens = tuple(ring.monomial(m) for m in monomials_of_degree(ring.n, k))
-            lengths.append(PolyIdeal(ring, gb + power_gens).k_dimension())
+        gb = rees.groebner()
+        result = windowed_oracle(D, window, 1, lambda k: adic_colength(pres.ambient, gb, k))
         route = "direct"
-    value, witness = stable_difference(lengths, D, window)
-    if value < 1:
-        raise ArithmeticError("Rees multiplicity came out nonpositive")
-    witness["presentation_dim"] = D
-    witness["route"] = route
+    result.witness["presentation_dim"] = D
+    result.witness["route"] = route
     # the value is taken at the maximal homogeneous ideal via its adic filtration
-    witness["filtration"] = "N-adic"
-    return SamuelResult(value, "finite-difference-oracle", tuple(window), witness)
+    result.witness["filtration"] = "N-adic"
+    return result
+
+
+def _reduction_degrees(I, h, degseq, seed):
+    """The given degree sequence, else that of a minimal reduction; h entries."""
+    if degseq is None:
+        J, _ = find_minimal_reduction(I, homogeneous=True, seed=seed)
+        degseq = degree_sequence(J)
+    degseq = tuple(degseq)
+    if len(degseq) != h:
+        raise ValueError(f"degree sequence must have height = {h} entries")
+    return degseq
 
 
 def rees_multiplicity_fastpath(I, degseq=None, seed=0):
@@ -130,12 +121,7 @@ def rees_multiplicity_fastpath(I, degseq=None, seed=0):
             spread=hr.spread,
         )
     h = hr.height
-    if degseq is None:
-        J, _ = find_minimal_reduction(I, homogeneous=True, seed=seed)
-        degseq = degree_sequence(J)
-    degseq = tuple(degseq)
-    if len(degseq) != h:
-        raise ValueError(f"degree sequence must have height = {h} entries")
+    degseq = _reduction_degrees(I, h, degseq, seed)
     total = 1
     prod = 1
     for a in degseq[: h - 1]:
@@ -223,42 +209,6 @@ def _length_between(cap, inner_lift, outer_lift):
     return total
 
 
-def _solve_exact(rows, rhs):
-    """Gaussian elimination over Fraction; returns solution list or None if singular."""
-    m = len(rows)
-    if m == 0:
-        return None
-    ncols = len(rows[0])
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    piv_rows = []
-    col = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(len(piv_rows), m):
-            if aug[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            return None
-        r0 = len(piv_rows)
-        aug[r0], aug[sel] = aug[sel], aug[r0]
-        pivot = aug[r0][col]
-        aug[r0] = [v / pivot for v in aug[r0]]
-        for r in range(m):
-            if r != r0 and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[r0])]
-        piv_rows.append(col)
-        if len(piv_rows) == ncols:
-            break
-    if len(piv_rows) < ncols:
-        return None
-    for r in range(ncols, m):
-        if aug[r][ncols] != 0:
-            return None
-    return [aug[i][ncols] for i in range(ncols)]
-
-
 def bhattacharya_oracle(ideals, n0_range=(2, 5), n_ranges=None):
     """Mixed multiplicities from exact polynomial fit of adic layer lengths.
 
@@ -322,13 +272,18 @@ def bhattacharya_oracle(ideals, n0_range=(2, 5), n_ranges=None):
             out.append(v)
         return out
 
+    rows = {p: row_for(p) for p in points}
     chosen = []
     coeffs = None
+    echelon = {}
     for p in points:
         chosen.append(p)
-        if len(chosen) < len(monos):
+        rref_insert(echelon, {j: v for j, v in enumerate(rows[p]) if v}, QQ)
+        # the fit is unique only once the chosen rows have full column rank
+        if len(echelon) < len(monos):
             continue
-        coeffs = _solve_exact([row_for(p2) for p2 in chosen], [grid[p2] for p2 in chosen])
+        columns = [dict(enumerate(col)) for col in zip(*(rows[p2] for p2 in chosen))]
+        coeffs = solve(QQ, columns, dict(enumerate(grid[p2] for p2 in chosen)))
         if coeffs is not None:
             break
     if coeffs is None:
@@ -338,7 +293,7 @@ def bhattacharya_oracle(ideals, n0_range=(2, 5), n_ranges=None):
         )
     mismatches = []
     for p, val in grid.items():
-        pred = sum(c * rv for c, rv in zip(coeffs, row_for(p)))
+        pred = sum(c * rv for c, rv in zip(coeffs, rows[p]))
         if pred != val:
             mismatches.append((p, val, pred))
     if mismatches:
@@ -392,12 +347,7 @@ def mixed_fastpath(I, degseq=None, i=None, seed=0):
     h = hr.height
     if i >= h:
         return SamuelResult(0, "fastpath-rem-3.5", None, {"height": h, "i": i})
-    if degseq is None:
-        J, _ = find_minimal_reduction(I, homogeneous=True, seed=seed)
-        degseq = degree_sequence(J)
-    degseq = tuple(degseq)
-    if len(degseq) != h:
-        raise ValueError(f"degree sequence must have height = {h} entries")
+    degseq = _reduction_degrees(I, h, degseq, seed)
     value = algebra.mult
     for a in degseq[:i]:
         value *= a
@@ -436,9 +386,8 @@ def mixed_via_fc_quotient(I, xs, fc_window=None, verify=True, window=None):
             "sequence length must stay below the height", height=hr.height, t=t
         )
     d = algebra.dim
-    quot_dim = PolyIdeal(
-        algebra.ring, algebra.defining.groebner() + tuple(x.rep for x in xs)
-    ).krull_dimension()
+    quot = AlgIdeal(algebra, xs)
+    quot_dim = quot.lift.krull_dimension()
     if quot_dim != d - t:
         raise HypothesisFail(
             "sequence does not drop the dimension by its length",
@@ -468,7 +417,6 @@ def mixed_via_fc_quotient(I, xs, fc_window=None, verify=True, window=None):
                 )
             base_gens = base_gens + (x.rep,)
         fc_verified = True
-    quot = AlgIdeal(algebra, xs)
     value = quotient_multiplicity(quot, window=window).value
     init = AlgIdeal(algebra, [x.initial_form for x in xs])
     order_product = None

@@ -12,6 +12,7 @@ from .degseq import degree_sequence
 from .errors import HypothesisFail, Inconclusive, NoStabilization
 from .groebner import INFINITE, PolyIdeal
 from .hilbert import hilbert_data
+from .monomials import monomials_of_degree
 
 
 @dataclass
@@ -59,24 +60,39 @@ def stable_difference(lengths, order, window):
     return value, witness
 
 
+def windowed_oracle(order, window, lo_min, length):
+    """The order-th difference of length(k) over the window, once it stabilizes.
+
+    The window defaults to (1, order + 6); it must start at lo_min or later
+    and span at least order + 3 steps, and the value must come out positive.
+    """
+    if window is None:
+        window = (1, order + 6)
+    lo, hi = window
+    if lo < lo_min or hi - lo < order + 3:
+        raise ValueError(
+            f"window must start at {lo_min} or later and span at least {order + 3} steps"
+        )
+    lengths = [length(k) for k in range(lo, hi + 1)]
+    value, witness = stable_difference(lengths, order, window)
+    if value < 1:
+        raise ArithmeticError("multiplicity came out nonpositive")
+    return SamuelResult(value, "finite-difference-oracle", tuple(window), witness)
+
+
+def adic_colength(ring, gens, k):
+    """dim_k ring/(gens + (x)^k), where (x) is the ideal of all the variables."""
+    power = tuple(ring.monomial(m) for m in monomials_of_degree(ring.n, k))
+    return PolyIdeal(ring, tuple(gens) + power).k_dimension()
+
+
 def samuel_oracle(q, window=None):
     """e(q; S) by colengths of q^n over the window and d-th differences."""
-    algebra = q.algebra
-    d = algebra.dim
     if not q.is_proper() or q.is_zero():
         raise ValueError("oracle needs a proper nonzero ideal")
     if q.lift.k_dimension() is INFINITE:
         raise ValueError("oracle needs an m-primary ideal")
-    if window is None:
-        window = (1, d + 6)
-    lo, hi = window
-    if lo < 0 or hi - lo < d + 3:
-        raise ValueError("window must span at least d + 3 steps")
-    lengths = [colength(q.power(n)) for n in range(lo, hi + 1)]
-    value, witness = stable_difference(lengths, d, window)
-    if value < 1:
-        raise ArithmeticError("multiplicity came out nonpositive")
-    return SamuelResult(value, "finite-difference-oracle", tuple(window), witness)
+    return windowed_oracle(q.algebra.dim, window, 0, lambda n: colength(q.power(n)))
 
 
 def samuel_fastpath_general(xs, check_oracle_window=None):
@@ -167,20 +183,7 @@ def quotient_multiplicity(I, window=None):
         return SamuelResult(
             hd.multiplicity, "homogeneous-series", None, {"dimension": hd.dimension}
         )
-    algebra = I.algebra
-    r = lift.krull_dimension()
-    if window is None:
-        window = (1, r + 6)
-    lo, hi = window
-    if lo < 0 or hi - lo < r + 3:
-        raise ValueError("window must span at least dim S/I + 3 steps")
-    ring = algebra.ring
-    lengths = []
-    for k in range(lo, hi + 1):
-        mk = algebra.irrelevant_power(k)
-        piece = PolyIdeal(ring, lift.gens + tuple(g.rep for g in mk.gens))
-        lengths.append(piece.k_dimension())
-    value, witness = stable_difference(lengths, r, window)
-    if value < 1:
-        raise ArithmeticError("multiplicity came out nonpositive")
-    return SamuelResult(value, "finite-difference-oracle", tuple(window), witness)
+    ring = I.algebra.ring
+    return windowed_oracle(
+        lift.krull_dimension(), window, 0, lambda k: adic_colength(ring, lift.gens, k)
+    )

@@ -158,13 +158,11 @@ class Polynomial:
         fadd = self.ring.field.add
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            v = fadd(out.get(e, 0), c) if e in out else c
-            if e in out and v == 0:
+            v = fadd(out[e], c) if e in out else c
+            if v == 0:
                 del out[e]
-            elif e in out:
-                out[e] = v
             else:
-                out[e] = c
+                out[e] = v
         return Polynomial(self.ring, out)
 
     __radd__ = __add__
@@ -175,17 +173,14 @@ class Polynomial:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        fsub = self.ring.field.sub
+        fsub, fneg = self.ring.field.sub, self.ring.field.neg
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            if e in out:
-                v = fsub(out[e], c)
-                if v == 0:
-                    del out[e]
-                else:
-                    out[e] = v
+            v = fsub(out[e], c) if e in out else fneg(c)
+            if v == 0:
+                del out[e]
             else:
-                out[e] = self.ring.field.neg(c)
+                out[e] = v
         return Polynomial(self.ring, out)
 
     def __rsub__(self, other):

@@ -90,6 +90,12 @@ def find_minimal_reduction(
     rng = random.Random(seed)
     field_ = algebra.ring.field
 
+    def random_combination(items):
+        combo = algebra.zero()
+        for el in items:
+            combo = combo + field_.random(rng) * el
+        return combo
+
     def try_candidate(gens):
         J = AlgIdeal(algebra, gens)
         if J.is_zero() or not J.is_proper():
@@ -135,13 +141,7 @@ def find_minimal_reduction(
         )
         for ms in multisets:
             for _ in range(retries):
-                gens = []
-                for a in ms:
-                    combo = algebra.zero()
-                    for el in pool(a):
-                        combo = combo + field_.random(rng) * el
-                    gens.append(combo)
-                hit = try_candidate(gens)
+                hit = try_candidate([random_combination(pool(a)) for a in ms])
                 if hit:
                     return hit
         raise SearchExhausted(
@@ -152,13 +152,7 @@ def find_minimal_reduction(
         )
 
     for _ in range(retries):
-        gens = []
-        for _slot in range(spread):
-            combo = algebra.zero()
-            for b in basis:
-                combo = combo + field_.random(rng) * b
-            gens.append(combo)
-        hit = try_candidate(gens)
+        hit = try_candidate([random_combination(basis) for _slot in range(spread)])
         if hit:
             return hit
     raise SearchExhausted("no minimal reduction found", spread=spread, retries=retries)

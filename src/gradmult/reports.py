@@ -100,21 +100,14 @@ def _key(k):
     return str(k)
 
 
-def _need_ideal(session, command, pos=0):
+def _need(table, kind, command, pos=0):
+    """The session's ideal or element named by argument pos."""
     if len(command.args) <= pos:
-        raise UsageError(f"{command.op} needs an ideal argument")
+        raise UsageError(f"{command.op} needs an {kind} argument")
     name = command.args[pos]
-    if name not in session.ideals:
-        raise UsageError(f"{command.op} expects an ideal, got {name!r}", name=name)
-    return session.ideals[name]
-
-def _need_element(session, command, pos=0):
-    if len(command.args) <= pos:
-        raise UsageError(f"{command.op} needs an element argument")
-    name = command.args[pos]
-    if name not in session.elements:
-        raise UsageError(f"{command.op} expects an element, got {name!r}", name=name)
-    return session.elements[name]
+    if name not in table:
+        raise UsageError(f"{command.op} expects an {kind}, got {name!r}", name=name)
+    return table[name]
 
 
 def _all_elements(session, command, start=0):
@@ -159,6 +152,30 @@ def _capture(out, values, witnesses, slot, fn, *args, **kwargs):
     return res
 
 
+def _dual_route(mode, fastpath, oracle, tags):
+    """Handler result of a command that runs the routes the mode asks for.
+
+    A coded refusal of the fast path fills its slot (see _capture); the
+    oracle's window leads its witness; agree is set only when both ran.
+    """
+    values, methods, witnesses, failures = {}, {}, {}, []
+    if mode in ("fastpath", "both"):
+        res = _capture(failures, values, witnesses, "fastpath", fastpath)
+        if res is not None:
+            values["fastpath"] = res.value
+            methods["fastpath"] = res.method
+            witnesses["fastpath"] = res.witness
+    if mode in ("oracle", "both"):
+        res = oracle()
+        values["oracle"] = res.value
+        methods["oracle"] = res.method
+        witnesses["oracle"] = {"window": list(res.window), **res.witness}
+    agree = None
+    if mode == "both":
+        agree = values.get("fastpath") == values.get("oracle")
+    return values, methods, witnesses, agree, tags
+
+
 # -- handlers ----------------------------------------------------------------
 
 
@@ -176,7 +193,7 @@ def _cmd_ring_info(session, command):
 
 
 def _cmd_order(session, command):
-    x = _need_element(session, command)
+    x = _need(session.elements, "element", command)
     values = {
         "order": _jsonable(x.order),
         "initial_form": repr(x.initial_form.rep) if not x.is_zero() else "0",
@@ -185,7 +202,7 @@ def _cmd_order(session, command):
 
 
 def _cmd_degseq(session, command):
-    ideal = _need_ideal(session, command)
+    ideal = _need(session.ideals, "ideal", command)
     seq = degree_sequence(ideal)
     inI, _ = initial_ideal(ideal)
     mu_in = len(minimal_basis(inI))
@@ -198,7 +215,7 @@ def _cmd_degseq(session, command):
 
 
 def _cmd_initial_ideal(session, command):
-    ideal = _need_ideal(session, command)
+    ideal = _need(session.ideals, "ideal", command)
     inI, adjusted = initial_ideal(ideal)
     values = {
         "generators": [repr(g.rep) for g in inI.gens],
@@ -215,55 +232,32 @@ def _cmd_samuel(session, command):
         raise UsageError("samuel needs parameter elements")
     mode = _mode(command)
     window = _window(command)
-    values, methods, witnesses, failures = {}, {}, {}, []
-    if mode in ("fastpath", "both"):
-        res = _capture(failures, values, witnesses, "fastpath", samuel_fastpath_general, xs)
-        if res is not None:
-            values["fastpath"] = res.value
-            methods["fastpath"] = res.method
-            witnesses["fastpath"] = res.witness
-    if mode in ("oracle", "both"):
-        res = samuel_oracle(session.algebra.ideal(xs), window=window)
-        values["oracle"] = res.value
-        methods["oracle"] = res.method
-        witnesses["oracle"] = {"window": list(res.window), **res.witness}
-    agree = None
-    if mode == "both":
-        agree = values.get("fastpath") == values.get("oracle")
-    return values, methods, witnesses, agree, TAG_SAMUEL
+    return _dual_route(
+        mode,
+        lambda: samuel_fastpath_general(xs),
+        lambda: samuel_oracle(session.algebra.ideal(xs), window=window),
+        TAG_SAMUEL,
+    )
 
 
 def _cmd_samuel_domain(session, command):
-    I = _need_ideal(session, command, 0)
+    I = _need(session.ideals, "ideal", command, 0)
     if len(command.args) < 2 or command.args[1] not in session.ideals:
         raise UsageError("samuel_domain needs a second ideal (the reduction)")
     J = session.ideals[command.args[1]]
     domain = command.options.get("domain") == "asserted"
     mode = _mode(command)
     window = _window(command)
-    values, methods, witnesses, failures = {}, {}, {}, []
-    if mode in ("fastpath", "both"):
-        res = _capture(
-            failures, values, witnesses, "fastpath",
-            samuel_fastpath_domain, I, J, domain_asserted=domain,
-        )
-        if res is not None:
-            values["fastpath"] = res.value
-            methods["fastpath"] = res.method
-            witnesses["fastpath"] = res.witness
-    if mode in ("oracle", "both"):
-        res = samuel_oracle(I, window=window)
-        values["oracle"] = res.value
-        methods["oracle"] = res.method
-        witnesses["oracle"] = {"window": list(res.window), **res.witness}
-    agree = None
-    if mode == "both":
-        agree = values.get("fastpath") == values.get("oracle")
-    return values, methods, witnesses, agree, TAG_SAMUEL_DOMAIN
+    return _dual_route(
+        mode,
+        lambda: samuel_fastpath_domain(I, J, domain_asserted=domain),
+        lambda: samuel_oracle(I, window=window),
+        TAG_SAMUEL_DOMAIN,
+    )
 
 
 def _cmd_transfer(session, command):
-    ideal = _need_ideal(session, command)
+    ideal = _need(session.ideals, "ideal", command)
     kind = command.options.get("kind")
     if kind not in ("colength", "samuel", "graded-mult"):
         raise UsageError("transfer needs kind=colength|samuel|graded-mult", kind=kind)
@@ -283,33 +277,20 @@ def _cmd_transfer(session, command):
 
 
 def _cmd_rees_mult(session, command):
-    ideal = _need_ideal(session, command)
+    ideal = _need(session.ideals, "ideal", command)
     mode = _mode(command)
     window = _window(command)
     seed = _seed(command, session)
-    values, methods, witnesses, failures = {}, {}, {}, []
-    if mode in ("fastpath", "both"):
-        res = _capture(
-            failures, values, witnesses, "fastpath",
-            rees_multiplicity_fastpath, ideal, seed=seed,
-        )
-        if res is not None:
-            values["fastpath"] = res.value
-            methods["fastpath"] = res.method
-            witnesses["fastpath"] = res.witness
-    if mode in ("oracle", "both"):
-        res = rees_multiplicity_oracle(ideal, window=window)
-        values["oracle"] = res.value
-        methods["oracle"] = res.method
-        witnesses["oracle"] = {"window": list(res.window), **res.witness}
-    agree = None
-    if mode == "both":
-        agree = values.get("fastpath") == values.get("oracle")
-    return values, methods, witnesses, agree, TAG_REES
+    return _dual_route(
+        mode,
+        lambda: rees_multiplicity_fastpath(ideal, seed=seed),
+        lambda: rees_multiplicity_oracle(ideal, window=window),
+        TAG_REES,
+    )
 
 
 def _cmd_mixed(session, command):
-    ideal = _need_ideal(session, command)
+    ideal = _need(session.ideals, "ideal", command)
     mode = _mode(command, allowed=("oracle", "both"))
     n0 = command.options.get("n0", (2, 5))
     nr = command.options.get("n", (2, 5))
@@ -347,7 +328,7 @@ def _cmd_mixed(session, command):
 
 
 def _cmd_min_reduction(session, command):
-    ideal = _need_ideal(session, command)
+    ideal = _need(session.ideals, "ideal", command)
     seed = _seed(command, session)
     J, cert = find_minimal_reduction(ideal, seed=seed)
     values = {
@@ -359,7 +340,7 @@ def _cmd_min_reduction(session, command):
 
 
 def _cmd_fc_seq(session, command):
-    J = _need_ideal(session, command, 0)
+    J = _need(session.ideals, "ideal", command, 0)
     if len(command.args) < 2 or command.args[1] not in session.ideals:
         raise UsageError("fc_seq needs two ideals: the reduction, then the ideal")
     I = session.ideals[command.args[1]]
@@ -380,7 +361,7 @@ def _cmd_fc_seq(session, command):
 
 
 def _cmd_invariance(session, command):
-    I = _need_ideal(session, command, 0)
+    I = _need(session.ideals, "ideal", command, 0)
     if len(command.args) < 2 or command.args[1] not in session.ideals:
         raise UsageError("invariance needs two ideals")
     E = session.ideals[command.args[1]]
@@ -408,7 +389,7 @@ def _cmd_invariance(session, command):
 
 
 def _cmd_mixed_quotient(session, command):
-    ideal = _need_ideal(session, command, 0)
+    ideal = _need(session.ideals, "ideal", command, 0)
     xs = _all_elements(session, command, start=1)
     window = _window(command)
     rep = mixed_via_fc_quotient(ideal, xs, window=window)

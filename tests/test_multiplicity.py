@@ -3,17 +3,22 @@
 import pytest
 
 from gradmult import (
+    QQ,
     AlgIdeal,
     HypothesisFail,
     Inconclusive,
     NoStabilization,
+    PolyIdeal,
+    PrimeField,
     colength,
+    make_algebra,
+    poly_ring,
     quotient_multiplicity,
     samuel_fastpath_domain,
     samuel_fastpath_general,
     samuel_oracle,
 )
-from gradmult.multiplicity import finite_differences, stable_difference
+from gradmult.multiplicity import adic_colength, finite_differences, stable_difference
 
 
 def test_colength(kxy):
@@ -188,3 +193,30 @@ def test_quotient_multiplicity_guards(kxy):
         quotient_multiplicity(AlgIdeal(kxy, [kxy.one()]))
     with pytest.raises(ValueError):
         quotient_multiplicity(AlgIdeal(kxy, [x + y * y]), window=(1, 3))
+
+
+def algebra_power_colength(I, k):
+    """l(S/(I + m^k)) with m^k taken from the algebra's own ideal powers,
+    the generators quotient_multiplicity used before adic_colength."""
+    mk = I.algebra.irrelevant_power(k)
+    return PolyIdeal(I.algebra.ring, I.lift.gens + tuple(g.rep for g in mk.gens)).k_dimension()
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(32003), QQ], ids=repr)
+def test_quotient_multiplicity_lengths_match_algebra_powers(field):
+    ring = poly_ring(("x", "y", "z"), field)
+    x, y, z = ring.gens()
+    cases = [
+        (make_algebra(ring, [y * y * z - x**3]), [x + y * y]),
+        (make_algebra(ring, [x * y, x * x]), [x + y * y]),
+        (make_algebra(ring), [x + y * y, z * z + x * y * z]),
+        (make_algebra(ring), [x + y * y, z + x * y]),
+    ]
+    for algebra, gens in cases:
+        I = AlgIdeal(algebra, gens)
+        res = quotient_multiplicity(I)
+        lo, hi = res.window
+        lengths = [algebra_power_colength(I, k) for k in range(lo, hi + 1)]
+        assert lengths == [adic_colength(ring, I.lift.gens, k) for k in range(lo, hi + 1)]
+        value, witness = stable_difference(lengths, I.lift.krull_dimension(), res.window)
+        assert (res.value, res.witness) == (value, witness)
