@@ -34,7 +34,7 @@ from .mixed_rees import (
     rees_multiplicity,
     rees_presentation,
 )
-from .monomials import MonomialOrder, compare_monomials
+from .monomials import MonomialOrder
 from .multiplicity import (
     SamuelResult,
     colength,
@@ -84,7 +84,6 @@ __all__ = [
     "buchberger",
     "build_fc_sequence",
     "colength",
-    "compare_monomials",
     "degree_sequence",
     "fc_check_element",
     "field_from_text",

@@ -86,7 +86,9 @@ class GradedAlgebra:
         return (self.ring.key(), tuple(g.sort_key() for g in self.defining.groebner()))
 
     def __eq__(self, other):
-        return isinstance(other, GradedAlgebra) and other.key() == self.key()
+        return other is self or (
+            isinstance(other, GradedAlgebra) and other.key() == self.key()
+        )
 
     def __hash__(self):
         return hash(self.key())

@@ -10,6 +10,7 @@ import math
 import threading
 from heapq import heappop, heappush
 
+from .hilbert import leading_series
 from .monomials import (
     MonomialOrder,
     minimal_monomials,
@@ -418,53 +419,16 @@ class PolyIdeal:
     def k_dimension(self):
         """dim_k of the quotient ring: the number of standard monomials.
 
-        Returns INFINITE unless every variable has a pure power among the
-        leading monomials (the finiteness criterion).
+        Read off the Hilbert series of the leading ideal: INFINITE unless the
+        quotient has dimension 0, and then the numerator's value at t = 1.
         """
-        leads = self.leading_monomials()
-        n = self.ring.n
-        zero = (0,) * n
-        if any(m == zero for m in leads):
+        if self.is_unit():
             return 0
-        for i in range(n):
-            if not any(
-                m[i] > 0 and all(e == 0 for j, e in enumerate(m) if j != i)
-                for m in leads
-            ):
-                return INFINITE
-        count = 0
-        seen = {zero}
-        stack = [zero]
-        while stack:
-            m = stack.pop()
-            count += 1
-            for i in range(n):
-                m2 = m[:i] + (m[i] + 1,) + m[i + 1:]
-                if m2 in seen:
-                    continue
-                seen.add(m2)
-                if any(mono_divides(l, m2) for l in leads):
-                    continue
-                stack.append(m2)
-        return count
+        num, d = leading_series(self.leading_monomials(), self.ring.n)
+        return sum(num) if d == 0 else INFINITE
 
     def krull_dimension(self):
-        """Dimension of the quotient: largest variable set meeting no leading support.
-
-        The unit ideal gives -1 (empty locus).
-        """
-        leads = self.leading_monomials()
-        n = self.ring.n
-        zero = (0,) * n
-        if any(m == zero for m in leads):
+        """Dimension of the quotient, that of the leading ideal; -1 for the unit ideal."""
+        if self.is_unit():
             return -1
-        supports = []
-        for m in leads:
-            supports.append(frozenset(i for i, e in enumerate(m) if e))
-        supports = set(supports)
-        for size in range(n, 0, -1):
-            for combo in itertools.combinations(range(n), size):
-                vs = set(combo)
-                if not any(s <= vs for s in supports):
-                    return size
-        return 0
+        return leading_series(self.leading_monomials(), self.ring.n)[1]

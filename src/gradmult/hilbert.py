@@ -1,4 +1,5 @@
-"""Hilbert series of homogeneous quotients via the leading-ideal numerator.
+"""Hilbert series read off the leading ideal: homogeneous quotients, colengths
+and Krull dimensions.
 
 The numerator over (1-t)^n is computed from the monomial leading ideal by
 pivot recursion: split on a most-frequent variable p, using
@@ -99,6 +100,27 @@ class HilbertData:
         return total
 
 
+def leading_series(leads, n):
+    """(numerator, dimension) of the reduced Hilbert series of k[x_1..x_n]/(leads).
+
+    leads are the minimal generators of a proper monomial ideal, such as the
+    leading monomials of a reduced Groebner basis.  Factors 1 - t are cancelled
+    from the numerator over (1-t)^n while it vanishes at t = 1, so the series
+    is numerator / (1-t)^dimension with the numerator nonzero at 1.
+    """
+    num = _numerator(leads)
+    d = n
+    while num and sum(num) == 0:
+        acc = 0
+        out = []
+        for v in num[:-1]:
+            acc += v
+            out.append(acc)
+        num = _poly_trim(out)
+        d -= 1
+    return num, d
+
+
 def hilbert_data(ideal):
     """Hilbert data of ring/ideal for a homogeneous proper ideal (zero ideal allowed)."""
     gb = ideal.groebner()
@@ -107,18 +129,7 @@ def hilbert_data(ideal):
             raise ValueError("hilbert_data requires a homogeneous ideal")
     if ideal.is_unit():
         raise ValueError("hilbert_data of the unit ideal (empty quotient)")
-    n = ideal.ring.n
-    num = _numerator([g.leading_monomial() for g in gb])
-    cancels = 0
-    while num and sum(num) == 0:
-        acc = 0
-        out = []
-        for v in num[:-1]:
-            acc += v
-            out.append(acc)
-        num = _poly_trim(out)
-        cancels += 1
-    d = n - cancels
+    num, d = leading_series(ideal.leading_monomials(), ideal.ring.n)
     e = sum(num)
     if e <= 0 or d < 0:
         raise ArithmeticError("inconsistent Hilbert series reduction")

@@ -56,7 +56,7 @@ def monomials_up_to(n, cap):
 
 
 class MonomialOrder:
-    """Global monomial order: degrevlex, lex, or a two-block elimination order.
+    """Global monomial order: degrevlex or a two-block elimination order.
 
     Keys are tuples that compare the same way the order does, so sorting and
     max() work directly.  Block orders put the eliminated variables first and
@@ -66,7 +66,7 @@ class MonomialOrder:
     __slots__ = ("kind", "n", "block", "_rest")
 
     def __init__(self, kind, n, block=()):
-        if kind not in ("degrevlex", "lex", "block"):
+        if kind not in ("degrevlex", "block"):
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
         self.n = n
@@ -84,18 +84,12 @@ class MonomialOrder:
         return cls("degrevlex", n)
 
     @classmethod
-    def lex(cls, n):
-        return cls("lex", n)
-
-    @classmethod
     def elimination(cls, n, block):
         return cls("block", n, block)
 
     def key(self, m):
         if self.kind == "degrevlex":
             return (sum(m), tuple(-e for e in reversed(m)))
-        if self.kind == "lex":
-            return m
         hi = tuple(m[i] for i in self.block)
         lo = tuple(m[i] for i in self._rest)
         return (
@@ -104,15 +98,6 @@ class MonomialOrder:
             sum(lo),
             tuple(-e for e in reversed(lo)),
         )
-
-    def compare(self, a, b):
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return -1
-        return 1 if ka > kb else 0
-
-    def is_degree_compatible(self):
-        return self.kind == "degrevlex"
 
     def __eq__(self, other):
         return (
@@ -129,12 +114,3 @@ class MonomialOrder:
         if self.kind == "block":
             return f"block(n={self.n}, elim={self.block})"
         return f"{self.kind}(n={self.n})"
-
-
-def compare_monomials(a, b, order):
-    """Public comparison entry point with input validation."""
-    if len(a) != len(b) or len(a) != order.n:
-        raise ValueError("exponent vector length does not match the order")
-    if any(e < 0 for e in a) or any(e < 0 for e in b):
-        raise ValueError("negative exponent")
-    return order.compare(a, b)

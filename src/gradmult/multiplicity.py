@@ -173,7 +173,8 @@ def quotient_multiplicity(I, window=None):
     """e(S/I) with respect to the image of the irrelevant ideal.
 
     Homogeneous quotients use the Hilbert series; otherwise lengths of
-    S/(I + m^k) are differenced to the dimension of S/I.
+    S/(I + m^k) are differenced to the dimension of S/I.  An Artinian S/I
+    defaults to a window long enough for any length up to its colength.
     """
     lift = I.lift
     if lift.is_unit():
@@ -184,6 +185,9 @@ def quotient_multiplicity(I, window=None):
             hd.multiplicity, "homogeneous-series", None, {"dimension": hd.dimension}
         )
     ring = I.algebra.ring
-    return windowed_oracle(
-        lift.krull_dimension(), window, 0, lambda k: adic_colength(ring, lift.gens, k)
-    )
+    order = lift.krull_dimension()
+    if order == 0 and window is None:
+        # the lengths rise strictly until they are stable and never pass the
+        # colength of the lift, so they are stable from that colength on
+        window = (1, max(6, lift.k_dimension() + 3))
+    return windowed_oracle(order, window, 0, lambda k: adic_colength(ring, lift.gens, k))

@@ -221,11 +221,9 @@ class _ProductCache:
         return out
 
 
-def _fc2_filter_regular(base, x_rep, prod_gens):
-    """Exact check (base : x) subseteq (base : prod^infinity); returns (ok, witness)."""
-    ring = base.ring
+def _fc2_filter_regular(base, x_rep, sat):
+    """Exact check (base : x) subseteq sat = (base : prod^infinity); returns (ok, witness)."""
     ann = base.colon(x_rep)
-    sat = base.saturate(PolyIdeal(ring, tuple(prod_gens)))
     for g in ann.groebner():
         if not sat.contains(g):
             return False, repr(g)
@@ -246,11 +244,10 @@ def _fc_check_on_lift(base, x_rep, gen_lists, slot, window):
     ring = base.ring
     cache = _ProductCache(ring, base.gens, gen_lists)
     all_ones = tuple(1 for _ in gen_lists)
-    prod_gens = [g for g in cache.ideal(all_ones).groebner()]
-    sat = base.saturate(PolyIdeal(ring, tuple(prod_gens)))
+    sat = base.saturate(PolyIdeal(ring, cache.ideal(all_ones).groebner()))
     if sat.is_unit():
         raise ValueError("product of the ideals is nilpotent modulo the base")
-    fc2_ok, fc2_wit = _fc2_filter_regular(base, x_rep, prod_gens)
+    fc2_ok, fc2_wit = _fc2_filter_regular(base, x_rep, sat)
     fc1_ok, counter = True, None
     for exps in window.tuples(len(gen_lists), slot):
         if not _fc1_intersection(cache, base, x_rep, slot, exps):

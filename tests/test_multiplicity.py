@@ -187,6 +187,14 @@ def test_quotient_multiplicity_artinian_quotient(nondomain):
     assert res.value == 3
 
 
+def test_quotient_multiplicity_artinian_window_follows_colength(hyper):
+    # the local lengths read 1, 2, ..., 6, 6, 6: past the old default window (1, 6)
+    x, y, z = hyper.gens()
+    res = quotient_multiplicity(AlgIdeal(hyper, [x + y * y, z - x * x]))
+    assert res.value == 6
+    assert res.window == (1, 9)
+
+
 def test_quotient_multiplicity_guards(kxy):
     x, y = kxy.gens()
     with pytest.raises(ValueError):

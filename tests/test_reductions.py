@@ -4,6 +4,7 @@ import pytest
 
 from gradmult import (
     AlgIdeal,
+    PolyIdeal,
     SearchExhausted,
     analytic_spread,
     build_fc_sequence,
@@ -117,6 +118,22 @@ def test_fc_check_element_passes(kxy):
     assert report.order == 1
     assert report.slot == 0
     assert report.fc1_counterexample is None
+
+
+def test_fc_check_element_saturates_once(hyper, monkeypatch):
+    # FC2 reads the saturation the nilpotency guard already computed
+    calls = []
+    saturate = PolyIdeal.saturate
+
+    def counted(self, other):
+        calls.append(other)
+        return saturate(self, other)
+
+    monkeypatch.setattr(PolyIdeal, "saturate", counted)
+    x, y, z = hyper.gens()
+    report = fc_check_element(x, [AlgIdeal(hyper, [x, y, z])], 0)
+    assert report.fc2_pass
+    assert len(calls) == 1
 
 
 def test_fc_check_element_guards(kxy, nondomain):
