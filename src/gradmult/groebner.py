@@ -8,7 +8,7 @@ saturation, intersection, elimination, dimension) go through it.
 import itertools
 import math
 import threading
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from .hilbert import leading_series
 from .monomials import (
@@ -131,9 +131,20 @@ def buchberger(gens):
 def _reduced_basis(polys):
     """Reduced Groebner basis of distinct nonzero monic polynomials of one ring.
 
-    The uncached core of buchberger.  Pair selection is by minimal lcm degree
-    with FIFO tie-break; skips use the coprimality criterion and the classic
-    chain criterion.
+    The uncached core of buchberger.  Pairs are pruned once, when they are
+    formed, by the Gebauer–Möller update (1988) run as each h joins G:
+
+    - M: a new pair (g, h) stays only if lcm(g, h) is a minimal generator of
+      the new lcms;
+    - F: one pair stays per distinct lcm;
+    - product criterion: an lcm group with a pair of coprime leads goes;
+    - B: a queued pair (i, j) goes when lead(h) divides its lcm and both
+      lcm(i, h) and lcm(j, h) differ from it.
+
+    Elements whose lead lead(h) divides form no new pairs, and a group holding
+    a pair of two monomials goes, its S-polynomial being zero.  Pair selection
+    is by minimal lcm degree with FIFO tie-break, and S-polynomials reduce by
+    every element of G, active or not.
     """
     ring = polys[0].ring
     okey = ring.order.key
@@ -144,50 +155,51 @@ def _reduced_basis(polys):
             ring.monomial(m) for m in sorted(minimal, key=okey)
         )
 
-    G = list(polys)
-    leads = [g.leading_monomial() for g in G]
-    pairq = []
+    G = []
+    leads = []
+    active = []  # indices into G whose lead no later lead divides
+    pairq = []  # (lcm degree, FIFO counter, lcm, i, j)
     counter = itertools.count()
 
-    def push_pairs(t):
-        lt = leads[t]
-        for i in range(t):
-            l = mono_lcm(leads[i], lt)
-            heappush(pairq, (sum(l), next(counter), i, t))
+    def update(h):
+        t = len(G)
+        lt = h.leading_monomial()
+        term = h.is_term()
+        G.append(h)
+        leads.append(lt)
+        if pairq:
+            kept = [
+                p for p in pairq
+                if not mono_divides(lt, p[2])
+                or mono_lcm(leads[p[3]], lt) == p[2]
+                or mono_lcm(leads[p[4]], lt) == p[2]
+            ]
+            if len(kept) < len(pairq):
+                pairq[:] = kept
+                heapify(pairq)
+        groups = {}
+        for i in active:
+            groups.setdefault(mono_lcm(leads[i], lt), []).append(i)
+        minimal = set(minimal_monomials(groups))
+        for l, members in groups.items():
+            if l not in minimal:
+                continue
+            if any(mono_coprime(leads[i], lt) for i in members):
+                continue
+            if term and any(G[i].is_term() for i in members):
+                continue
+            heappush(pairq, (sum(l), next(counter), l, members[0], t))
+        active[:] = [i for i in active if not mono_divides(lt, leads[i])]
+        active.append(t)
 
-    for t in range(1, len(G)):
-        push_pairs(t)
-    done = set()
+    for p in polys:
+        update(p)
 
     while pairq:
-        _, _, i, j = heappop(pairq)
-        key = (i, j)
-        lij = mono_lcm(leads[i], leads[j])
-        if mono_coprime(leads[i], leads[j]):
-            done.add(key)
-            continue
-        if G[i].is_term() and G[j].is_term():
-            done.add(key)
-            continue
-        chained = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if not mono_divides(leads[k], lij):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in done and b in done:
-                chained = True
-                break
-        done.add(key)
-        if chained:
-            continue
+        _, _, _, i, j = heappop(pairq)
         r = normal_form(s_polynomial(G[i], G[j]), G)
         if r.coeffs:
-            G.append(r.monic())
-            leads.append(r.leading_monomial())
-            push_pairs(len(G) - 1)
+            update(r.monic())
 
     # minimal basis: drop anything whose lead another kept lead divides
     kept = []

@@ -7,6 +7,7 @@ N(I) = N(I + p) + t * N(I : p), with pairwise-coprime generator sets as the
 closed-form base case.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -100,13 +101,16 @@ class HilbertData:
         return total
 
 
+@functools.lru_cache(maxsize=1024)
 def leading_series(leads, n):
     """(numerator, dimension) of the reduced Hilbert series of k[x_1..x_n]/(leads).
 
-    leads are the minimal generators of a proper monomial ideal, such as the
-    leading monomials of a reduced Groebner basis.  Factors 1 - t are cancelled
-    from the numerator over (1-t)^n while it vanishes at t = 1, so the series
-    is numerator / (1-t)^dimension with the numerator nonzero at 1.
+    leads is a tuple of the minimal generators of a proper monomial ideal,
+    such as the leading monomials of a reduced Groebner basis.  Factors 1 - t
+    are cancelled from the numerator over (1-t)^n while it vanishes at t = 1,
+    so the series is numerator / (1-t)^dimension with the numerator nonzero
+    at 1.  The numerator is a tuple.  Memoised by (leads, n), which fix the
+    answer exactly; the 1024 most recently used inputs are kept.
     """
     num = _numerator(leads)
     d = n
@@ -118,7 +122,7 @@ def leading_series(leads, n):
             out.append(acc)
         num = _poly_trim(out)
         d -= 1
-    return num, d
+    return tuple(num), d
 
 
 def hilbert_data(ideal):
@@ -133,4 +137,4 @@ def hilbert_data(ideal):
     e = sum(num)
     if e <= 0 or d < 0:
         raise ArithmeticError("inconsistent Hilbert series reduction")
-    return HilbertData(numerator=tuple(num), dimension=d, multiplicity=e)
+    return HilbertData(numerator=num, dimension=d, multiplicity=e)

@@ -1,0 +1,142 @@
+"""The chain-criterion Buchberger core that `groebner._reduced_basis` replaced,
+kept as the reference oracle for the Gebauer–Möller pair update, plus an
+independent Groebner-basis certificate that never calls `buchberger`."""
+
+import itertools
+from heapq import heappop, heappush
+
+from gradmult.groebner import normal_form, s_polynomial
+from gradmult.monomials import (
+    minimal_monomials,
+    mono_coprime,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+)
+
+
+def reference_reduced_basis(polys):
+    """Reduced Groebner basis of distinct nonzero monic polynomials of one ring.
+
+    The core buchberger used before the Gebauer–Möller update.  Pair
+    selection is by minimal lcm degree with FIFO tie-break; skips use the
+    coprimality criterion and the classic chain criterion, checked over all
+    of G at every pop.
+    """
+    ring = polys[0].ring
+    okey = ring.order.key
+
+    if all(p.is_term() for p in polys):
+        minimal = minimal_monomials([p.leading_monomial() for p in polys])
+        return tuple(
+            ring.monomial(m) for m in sorted(minimal, key=okey)
+        )
+
+    G = list(polys)
+    leads = [g.leading_monomial() for g in G]
+    pairq = []
+    counter = itertools.count()
+
+    def push_pairs(t):
+        lt = leads[t]
+        for i in range(t):
+            l = mono_lcm(leads[i], lt)
+            heappush(pairq, (sum(l), next(counter), i, t))
+
+    for t in range(1, len(G)):
+        push_pairs(t)
+    done = set()
+
+    while pairq:
+        _, _, i, j = heappop(pairq)
+        key = (i, j)
+        lij = mono_lcm(leads[i], leads[j])
+        if mono_coprime(leads[i], leads[j]):
+            done.add(key)
+            continue
+        if G[i].is_term() and G[j].is_term():
+            done.add(key)
+            continue
+        chained = False
+        for k in range(len(G)):
+            if k in (i, j):
+                continue
+            if not mono_divides(leads[k], lij):
+                continue
+            a = (min(i, k), max(i, k))
+            b = (min(j, k), max(j, k))
+            if a in done and b in done:
+                chained = True
+                break
+        done.add(key)
+        if chained:
+            continue
+        r = normal_form(s_polynomial(G[i], G[j]), G)
+        if r.coeffs:
+            G.append(r.monic())
+            leads.append(r.leading_monomial())
+            push_pairs(len(G) - 1)
+
+    # minimal basis: drop anything whose lead another kept lead divides
+    kept = []
+    for g in sorted(G, key=lambda p: okey(p.leading_monomial())):
+        lg = g.leading_monomial()
+        if any(mono_divides(h.leading_monomial(), lg) for h in kept):
+            continue
+        kept.append(g)
+
+    # tail interreduction to the unique reduced basis
+    changed = True
+    while changed:
+        changed = False
+        for idx in range(len(kept)):
+            rest = kept[:idx] + kept[idx + 1:]
+            r = normal_form(kept[idx], rest)
+            if r.coeffs != kept[idx].coeffs:
+                kept[idx] = r.monic()
+                changed = True
+    kept.sort(key=lambda p: okey(p.leading_monomial()))
+    return tuple(kept)
+
+
+def _reduces_to_zero(f, basis):
+    """True when repeatedly cancelling the leading term of f by a basis lead
+    ends in zero; a plain top reduction, independent of `normal_form`."""
+    okey = f.ring.order.key
+    leads = [(g.leading_monomial(), g) for g in basis]
+    while f.coeffs:
+        m = max(f.coeffs, key=okey)
+        for lm, g in leads:
+            if mono_divides(lm, m):
+                break
+        else:
+            return False
+        f = f - g.mul_term(mono_div(m, lm), f.ring.field.div(f.coeffs[m], g.coeffs[lm]))
+    return True
+
+
+def is_groebner_basis(basis, gens):
+    """True when basis is the reduced Groebner basis of an ideal containing gens.
+
+    Four checks: every generator reduces to zero, every S-pair of the basis
+    reduces to zero, the basis is monic with minimal leads, and no tail term
+    is divisible by a lead.
+    """
+    basis = tuple(basis)
+    if not basis:
+        return not any(g.coeffs for g in gens)
+    one = basis[0].ring.field.one
+    leads = [g.leading_monomial() for g in basis]
+    for k, (g, lg) in enumerate(zip(basis, leads)):
+        if g.coeffs[lg] != one:
+            return False
+        if any(mono_divides(l, lg) for i, l in enumerate(leads) if i != k):
+            return False
+        if any(mono_divides(l, e) for e in g.coeffs if e != lg for l in leads):
+            return False
+    if not all(_reduces_to_zero(g, basis) for g in gens if g.coeffs):
+        return False
+    return all(
+        _reduces_to_zero(s_polynomial(f, g), basis)
+        for f, g in itertools.combinations(basis, 2)
+    )

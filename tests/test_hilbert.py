@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gradmult import PolyIdeal, hilbert_data, poly_ring
+from gradmult import PolyIdeal, hilbert, hilbert_data, poly_ring
 from gradmult.monomials import mono_divides, monomials_of_degree
 
 
@@ -78,3 +78,33 @@ def test_binomial_tail_formula():
     h = hilbert_data(PolyIdeal(r, []))
     for m in range(6):
         assert h.hilbert_function(m) == math.comb(m + 3, 3)
+
+
+def test_numerator_memo_serves_repeats(monkeypatch):
+    computed = []
+    numerator = hilbert._numerator
+
+    def counting(gens):
+        computed.append(gens)
+        return numerator(gens)
+
+    monkeypatch.setattr(hilbert, "_numerator", counting)
+    hilbert.leading_series.cache_clear()
+    r = poly_ring(("x", "y", "z"))
+    x, y, z = r.gens()
+    # a complete intersection of degrees 2, 3, 4: colength 24
+    I = PolyIdeal(r, [x * y - z * z, x**3, y**4])
+    assert I.k_dimension() == 24
+    first = len(computed)
+    assert first > 1  # the pivot recursion ran
+    # the same leading ideal through every reader: no new computation
+    J = PolyIdeal(r, [x**3, x * y - z * z, y**4])
+    assert J.krull_dimension() == 0 and J.k_dimension() == 24
+    assert hilbert_data(I).multiplicity == 24
+    assert len(computed) == first
+    num, d = hilbert.leading_series(I.leading_monomials(), 3)
+    assert isinstance(num, tuple) and d == 0 and sum(num) == 24
+    assert len(computed) == first
+    # another n is another input: the same leads with one more free variable
+    assert hilbert.leading_series(I.leading_monomials(), 4) == (num, 1)
+    assert len(computed) > first
