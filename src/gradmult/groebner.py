@@ -352,6 +352,28 @@ class PolyIdeal:
             self._homog = all(g.is_homogeneous() for g in self.groebner())
         return self._homog
 
+    def tangent_cone(self):
+        """A monomial ideal with the Hilbert function of the tangent cone at the origin.
+
+        Its partial sums below k are the lengths dim k[x]/(self + (x)^k).  A
+        homogeneous ideal is its own tangent cone.  Otherwise Lazard's method
+        (1983) gives the leading ideal for a local degree order: homogenise
+        with a fresh h, take one basis ordering more h first, then degrevlex,
+        and set h = 1 in the leads.
+        """
+        if self.is_homogeneous():
+            return self
+        n = self.ring.n
+        hring = self.ring.extended(
+            (_fresh_name(self.ring.names, "h"),), MonomialOrder.elimination(n + 1, (n,))
+        )
+        hgens = []
+        for g in self.gens:
+            top = g.degree()
+            hgens.append(Polynomial(hring, {e + (top - sum(e),): c for e, c in g.coeffs.items()}))
+        leads = minimal_monomials(g.leading_monomial()[:n] for g in buchberger(hgens))
+        return PolyIdeal(self.ring, tuple(self.ring.monomial(m) for m in leads))
+
     # -- arithmetic on ideals ------------------------------------------------
 
     def plus(self, other):

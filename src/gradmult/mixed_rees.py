@@ -2,8 +2,10 @@
 
 The oracle side is exact arithmetic all the way down: Bhattacharya tables come
 from Hilbert-function differences fitted by an exact polynomial, and the Rees
-multiplicity from adic colengths of the eliminated presentation.  Fast paths
-are the degree-sequence product formulas; the two sides are never mixed.
+multiplicity from the (x, T)-adic colengths of the eliminated presentation,
+read off the Hilbert function of its tangent cone at the origin (one Lazard
+standard basis for every length).  Fast paths are the degree-sequence product
+formulas; the two sides are never mixed.
 """
 
 import itertools
@@ -17,7 +19,7 @@ from .groebner import PolyIdeal, _fresh_name, eliminate_into
 from .hilbert import hilbert_data
 from .linalg import rref_insert, solve
 from .monomials import MonomialOrder, monomials_up_to
-from .multiplicity import SamuelResult, adic_colength, quotient_multiplicity, windowed_oracle
+from .multiplicity import SamuelResult, adic_lengths, quotient_multiplicity, windowed_oracle
 from .polynomials import PolyRing, map_vars
 from .reductions import (
     FcWindow,
@@ -73,25 +75,19 @@ def rees_presentation(I):
 def rees_multiplicity_oracle(I, window=None):
     """Multiplicity of the (x, T)-adic filtration on the presentation quotient.
 
-    L_k = dim_k k[x, T]/(rees + (x, T)^k); when the presentation is standard
-    graded the same numbers are partial sums of its Hilbert function, which is
-    much cheaper and is used automatically.
+    L_k = dim_k k[x, T]/(rees + (x, T)^k), the partial sums below k of the
+    Hilbert function of the presentation's tangent cone at the origin; a
+    standard graded presentation is its own tangent cone.  The witness route
+    is "series" for a homogeneous presentation and "direct" otherwise.
     """
     pres = rees_presentation(I)
     D = pres.dim
     if D < 1:
         raise ValueError("Rees quotient is Artinian; adic multiplicity undefined")
     rees = pres.rees_ideal
-    if rees.is_homogeneous():
-        hf = hilbert_data(rees).hilbert_function
-        result = windowed_oracle(D, window, 1, lambda k: sum(map(hf, range(k))))
-        route = "series"
-    else:
-        gb = rees.groebner()
-        result = windowed_oracle(D, window, 1, lambda k: adic_colength(pres.ambient, gb, k))
-        route = "direct"
+    result = windowed_oracle(D, window, 1, adic_lengths(rees))
     result.witness["presentation_dim"] = D
-    result.witness["route"] = route
+    result.witness["route"] = "series" if rees.is_homogeneous() else "direct"
     # the value is taken at the maximal homogeneous ideal via its adic filtration
     result.witness["filtration"] = "N-adic"
     return result

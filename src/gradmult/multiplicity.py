@@ -10,9 +10,8 @@ from dataclasses import dataclass
 from .algebra import minimal_basis
 from .degseq import degree_sequence
 from .errors import HypothesisFail, Inconclusive, NoStabilization
-from .groebner import INFINITE, PolyIdeal
+from .groebner import INFINITE
 from .hilbert import hilbert_data
-from .monomials import monomials_of_degree
 
 
 @dataclass
@@ -80,10 +79,14 @@ def windowed_oracle(order, window, lo_min, length):
     return SamuelResult(value, "finite-difference-oracle", tuple(window), witness)
 
 
-def adic_colength(ring, gens, k):
-    """dim_k ring/(gens + (x)^k), where (x) is the ideal of all the variables."""
-    power = tuple(ring.monomial(m) for m in monomials_of_degree(ring.n, k))
-    return PolyIdeal(ring, tuple(gens) + power).k_dimension()
+def adic_lengths(ideal):
+    """k -> dim_k ring/(ideal + (x)^k), where (x) is the ideal of all the variables.
+
+    The lengths are the partial sums below k of the Hilbert function of the
+    tangent cone at the origin, so one standard basis serves every k.
+    """
+    hf = hilbert_data(ideal.tangent_cone()).hilbert_function
+    return lambda k: sum(map(hf, range(k)))
 
 
 def samuel_oracle(q, window=None):
@@ -172,8 +175,9 @@ def samuel_fastpath_domain(I, J, domain_asserted=False, n_max=8):
 def quotient_multiplicity(I, window=None):
     """e(S/I) with respect to the image of the irrelevant ideal.
 
-    Homogeneous quotients use the Hilbert series; otherwise lengths of
-    S/(I + m^k) are differenced to the dimension of S/I.  An Artinian S/I
+    Homogeneous quotients use the Hilbert series; otherwise the lengths of
+    S/(I + m^k), read off the Hilbert function of the lift's tangent cone at
+    the origin, are differenced to the dimension of S/I.  An Artinian S/I
     defaults to a window long enough for any length up to its colength.
     """
     lift = I.lift
@@ -184,10 +188,11 @@ def quotient_multiplicity(I, window=None):
         return SamuelResult(
             hd.multiplicity, "homogeneous-series", None, {"dimension": hd.dimension}
         )
-    ring = I.algebra.ring
+    if lift.tangent_cone().is_unit():
+        raise HypothesisFail("quotient is zero at the origin")
     order = lift.krull_dimension()
     if order == 0 and window is None:
         # the lengths rise strictly until they are stable and never pass the
         # colength of the lift, so they are stable from that colength on
         window = (1, max(6, lift.k_dimension() + 3))
-    return windowed_oracle(order, window, 0, lambda k: adic_colength(ring, lift.gens, k))
+    return windowed_oracle(order, window, 0, adic_lengths(lift))

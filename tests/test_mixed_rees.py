@@ -6,15 +6,19 @@ from gradmult import (
     AlgIdeal,
     HypothesisFail,
     PolyIdeal,
+    PrimeField,
     bhattacharya_oracle,
     build_fc_sequence,
     find_minimal_reduction,
     invariance_check,
+    make_algebra,
     mixed_fastpath,
     mixed_via_fc_quotient,
+    poly_ring,
     rees_multiplicity,
     rees_presentation,
 )
+from gradmult import groebner
 from gradmult.mixed_rees import rees_multiplicity_fastpath, rees_multiplicity_oracle
 
 
@@ -61,6 +65,27 @@ def test_rees_both_routes_on_irrelevant(kxy):
     assert report.agree is True
     assert report.value == 2
     assert report.fastpath.method == "fastpath-cor-3.2(ii)"
+
+
+def test_rees_oracle_non_homogeneous_presentation(monkeypatch):
+    # the presentation of (x, y, z^2) is not standard graded.  A basis of
+    # rees + (x, T)^k for each k of the window ran for minutes (m^5 alone has
+    # 252 generators in six variables); the tangent cone needs one small basis
+    core = groebner._reduced_basis
+
+    def bounded(polys):
+        assert len(polys) <= 100, "a basis computation was handed a power of m"
+        return core(polys)
+
+    monkeypatch.setattr(groebner, "_reduced_basis", bounded)
+    ring = poly_ring(("x", "y", "z"), PrimeField(32003))
+    S = make_algebra(ring)
+    x, y, z = S.gens()
+    report = rees_multiplicity(AlgIdeal(S, [x, y, z * z]), mode="both")
+    assert report.oracle.value == 3
+    assert report.fastpath.value == 3
+    assert report.agree is True
+    assert report.oracle.witness["route"] == "direct"
 
 
 def test_rees_fastpath_values(kxy, hyper):

@@ -18,7 +18,8 @@ from gradmult import (
     samuel_fastpath_general,
     samuel_oracle,
 )
-from gradmult.multiplicity import adic_colength, finite_differences, stable_difference
+from gradmult.multiplicity import finite_differences, stable_difference
+from reference_colength import adic_colength
 
 
 def test_colength(kxy):
@@ -201,6 +202,13 @@ def test_quotient_multiplicity_guards(kxy):
         quotient_multiplicity(AlgIdeal(kxy, [kxy.one()]))
     with pytest.raises(ValueError):
         quotient_multiplicity(AlgIdeal(kxy, [x + y * y]), window=(1, 3))
+
+
+def test_quotient_multiplicity_unit_at_the_origin(kxy):
+    # (x - 1, y) is a point away from the origin: the local quotient is zero
+    x, y = kxy.gens()
+    with pytest.raises(HypothesisFail, match="zero at the origin"):
+        quotient_multiplicity(AlgIdeal(kxy, [x - kxy.one(), y]))
 
 
 def algebra_power_colength(I, k):
