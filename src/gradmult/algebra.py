@@ -8,7 +8,7 @@ every ideal-level operation delegates to the polynomial side.
 from .groebner import INFINITE, PolyIdeal, memo_power
 from .hilbert import hilbert_data
 from .linalg import rref_insert
-from .monomials import monomials_up_to as _monomials_up_to
+from .monomials import mono_divides, monomials_up_to as _monomials_up_to
 from .polynomials import Polynomial
 
 
@@ -72,8 +72,6 @@ class GradedAlgebra:
     def standard_monomials_up_to(self, cap):
         """Monomials outside the leading ideal of P, total degree <= cap, order-descending."""
         leads = self.defining.leading_monomials()
-        from .monomials import mono_divides
-
         out = [
             m
             for m in _monomials_up_to(self.ring.n, cap)
@@ -245,11 +243,40 @@ class AlgIdeal:
     __add__ = plus
 
     def times(self, other):
+        """The product ideal, generated by the pairwise products of two short
+        generating sets of the factors.
+
+        A factor whose lift already has its reduced basis contributes that
+        basis's nonzero residues mod P (they generate the factor, because
+        GB(P + I) mod P generates I) when there are fewer of them than its
+        generators; otherwise it contributes its generators.  Both guards
+        matter: computing a basis only to shorten a factor costs more than it
+        saves, and a longer basis times the other factor's generators
+        collapses less under deduplication than the generator products do.
+        """
         self._check(other)
-        prods = [a * b for a in self.gens for b in other.gens]
+        mine, theirs = self._short_gens(), other._short_gens()
+        prods = [a * b for a in mine for b in theirs]
         return AlgIdeal(self.algebra, prods)
 
     __mul__ = times
+
+    def _short_gens(self):
+        gb = self._lift._gb if self._lift is not None else None
+        if gb is not None:
+            # a basis element whose lead no lead of P divides keeps that lead
+            # mod P, so its residue is nonzero and unlike the others: counting
+            # those first skips the normal forms when no shorter set can come
+            p_leads = self.algebra.defining.leading_monomials()
+            floor = sum(
+                1 for g in gb
+                if not any(mono_divides(l, g.leading_monomial()) for l in p_leads)
+            )
+            if floor < len(self.gens):
+                residues = AlgIdeal(self.algebra, gb).gens
+                if len(residues) < len(self.gens):
+                    return residues
+        return self.gens
 
     def power(self, k):
         return memo_power(self, k, lambda: AlgIdeal(self.algebra, (self.algebra.one(),)))

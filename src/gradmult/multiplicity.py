@@ -177,8 +177,9 @@ def quotient_multiplicity(I, window=None):
 
     Homogeneous quotients use the Hilbert series; otherwise the lengths of
     S/(I + m^k), read off the Hilbert function of the lift's tangent cone at
-    the origin, are differenced to the dimension of S/I.  An Artinian S/I
-    defaults to a window long enough for any length up to its colength.
+    the origin, are differenced to the dimension of S/I there.  When S/I is
+    Artinian at the origin the window defaults to one long enough for any
+    length up to its local colength.
     """
     lift = I.lift
     if lift.is_unit():
@@ -188,11 +189,15 @@ def quotient_multiplicity(I, window=None):
         return SamuelResult(
             hd.multiplicity, "homogeneous-series", None, {"dimension": hd.dimension}
         )
-    if lift.tangent_cone().is_unit():
+    cone = lift.tangent_cone()
+    if cone.is_unit():
         raise HypothesisFail("quotient is zero at the origin")
-    order = lift.krull_dimension()
+    # the order is the local dimension at the origin, which components of
+    # S/I away from the origin can exceed globally
+    order = hilbert_data(cone).dimension
     if order == 0 and window is None:
         # the lengths rise strictly until they are stable and never pass the
-        # colength of the lift, so they are stable from that colength on
-        window = (1, max(6, lift.k_dimension() + 3))
-    return windowed_oracle(order, window, 0, adic_lengths(lift))
+        # local colength, so they are stable from that colength on
+        window = (1, max(6, cone.k_dimension() + 3))
+    # the cone is monomial, so it is its own tangent cone: same lengths
+    return windowed_oracle(order, window, 0, adic_lengths(cone))

@@ -133,7 +133,11 @@ def parse_poly(cur, ring, env):
         if t is None:
             raise ParseError("unexpected end of expression", cur.end_line, 1)
         if t.kind == "int":
-            return ring.constant(ring.field.of(_parse_scalar(cur)))
+            value = _parse_scalar(cur)
+            try:
+                return ring.constant(ring.field.of(value))
+            except ZeroDivisionError as exc:
+                raise ParseError(str(exc), t.line, t.col)
         if t.kind == "name":
             cur.next()
             if t.text in ring.names:
@@ -227,13 +231,19 @@ def _parse_poly_list(cur, ring, env):
 
 
 def _parse_option_value(cur):
-    """Option values: name, signed int, or an (a,b) integer pair."""
+    """Option values: name (its pieces may be joined by '-', as in
+    graded-mult), signed int, or an (a,b) integer pair."""
     t = cur.peek()
     if t is None:
         raise ParseError("missing option value", cur.end_line, 1)
     if t.kind == "name":
         cur.next()
-        return t.text
+        text = t.text
+        # no command argument starts with '-', so a '-' here continues the name
+        while cur.at_punct("-"):
+            cur.next()
+            text += "-" + cur.expect("name").text
+        return text
     if t.kind == "int":
         cur.next()
         return int(t.text)
@@ -282,10 +292,9 @@ def parse_script(text, field_override=None):
     if len(set(var_names)) != len(var_names) or not var_names:
         raise ParseError("ring variables must be distinct and nonempty", first.line, first.col)
     cur.expect("name", "field")
-    ft = cur.peek()
+    ft = cur.next()
     if ft.kind != "name":
         raise ParseError("expected a field descriptor", ft.line, ft.col)
-    cur.next()
     if ft.text == "qq":
         field_text = "qq"
     elif ft.text == "fp":

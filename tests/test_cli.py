@@ -139,6 +139,14 @@ def test_exit_code_internal_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_transfer_graded_mult_runs(tmp_path, capsys):
+    text = "ring S vars [x, y] field qq relations [];\nideal P = [x^2, y^3];\n"
+    rc = main(["run", _write(tmp_path, "graded.gm", text + "cmd transfer P kind=graded-mult;\n")])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert doc["reports"][0]["values"] == {"equal": True, "kind": "graded-mult", "lhs": 6, "rhs": 6}
+
+
 def test_exit_code_priority(tmp_path, capsys):
     # usage beats hypothesis, hypothesis beats inconclusive
     both = COUNTER + "cmd bogus u;\n"

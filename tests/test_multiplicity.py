@@ -211,6 +211,22 @@ def test_quotient_multiplicity_unit_at_the_origin(kxy):
         quotient_multiplicity(AlgIdeal(kxy, [x - kxy.one(), y]))
 
 
+@pytest.mark.parametrize("field", [PrimeField(32003), QQ], ids=repr)
+def test_quotient_multiplicity_takes_the_local_dimension(field):
+    # a component away from the origin raises the global dimension:
+    # (x(x - 1), y(x - 1)) is the origin plus the line x = 1, and
+    # (x(z - 1), y(z - 1)) is the z-axis plus the plane z = 1
+    plane = make_algebra(poly_ring(("x", "y"), field))
+    x, y = plane.gens()
+    point = quotient_multiplicity(AlgIdeal(plane, [x * (x - 1), y * (x - 1)]))
+    assert (point.value, point.window) == (1, (1, 6))
+    space = make_algebra(poly_ring(("x", "y", "z"), field))
+    x, y, z = space.gens()
+    axis = quotient_multiplicity(AlgIdeal(space, [x * (z - 1), y * (z - 1)]))
+    assert axis.value == 1
+    assert axis.witness["differences"][-3:] == [1, 1, 1]
+
+
 def algebra_power_colength(I, k):
     """l(S/(I + m^k)) with m^k taken from the algebra's own ideal powers,
     the generators quotient_multiplicity used before adic_colength."""

@@ -106,6 +106,8 @@ def test_field_override():
         ("ring S vars [] field qq relations [];", "distinct and nonempty", 1),
         ("ring S vars [x, x] field qq relations [];", "distinct and nonempty", 1),
         ("ring S vars [x] field gf(4) relations [];", "unknown field", 1),
+        ("ring S vars [x] field", "unexpected end of script", 1),
+        ("ring S vars [x] field fp(7) relations [];\nelem f = 1/14;", "divisible by 7", 2),
         ("ring S vars [x] field qq relations [x + 1];", "non-homogeneous relation", 1),
         (
             "ring S vars [x] field qq relations [];\nring T vars [y] field qq relations [];",
@@ -135,3 +137,15 @@ def test_parse_error_column_points_at_token():
         parse_script("ring S vars [x] field qq relations [];\nelem f = bad;")
     assert exc.value.details["line"] == 2
     assert exc.value.details["col"] == 10
+
+
+def test_option_values_join_dashed_names_and_keep_signed_ints():
+    script = parse_script(
+        "ring S vars [x] field qq relations [];\n"
+        "ideal P = [x];\n"
+        "cmd transfer P kind=graded-mult;\n"
+        "cmd samuel x seed=-3;\n"
+    )
+    assert script.commands[0].options == {"kind": "graded-mult"}
+    assert script.commands[0].text == "cmd transfer P kind=graded-mult"
+    assert script.commands[1].options == {"seed": -3}
