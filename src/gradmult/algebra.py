@@ -311,7 +311,7 @@ def _truncated_span(algebra, lifted, cap, colindex):
     return pivots
 
 
-def minimal_basis(ideal, degree_cap=None):
+def minimal_basis(ideal):
     """A minimal homogeneous-style generating set of the ideal, smallest degrees first.
 
     Extracts representatives of a basis of I/mI by comparing truncated spans of
@@ -323,10 +323,6 @@ def minimal_basis(ideal, degree_cap=None):
     if not ideal.is_proper():
         raise ValueError("minimal basis of the unit ideal")
     cap = max(g.rep.degree() for g in ideal.gens)
-    if degree_cap is not None:
-        if degree_cap < cap:
-            raise ValueError("degree cap below generator degrees")
-        cap = degree_cap
     cols = algebra.standard_monomials_up_to(cap)
     colindex = {m: i for i, m in enumerate(cols)}
     span_i = _truncated_span(algebra, ideal.lift, cap, colindex)

@@ -1,20 +1,21 @@
 """Initial ideals, degree sequences, and transfer checks between I and in(I).
 
 in(I) is the ideal generated by the initial forms of the elements of I that
-lie outside mI.  It is computed degree by degree from that definition: the
-order-n initial forms coming from I span the homogeneous degree-n part of
-I + m^(n+1), and the scan stops at the first n with I meet m^n inside mI
-(such an n exists by Artin-Rees).  A minimal basis of I is then rewritten
-until its initial forms generate the computed ideal, so the degree sequence
-can be read off as the sorted orders of the rewritten basis.
+lie outside mI.  It is computed from that definition: the order-n initial
+forms coming from I make up the degree-n piece of the tangent cone of I at
+the origin, the scan stops at the first n with I meet m^n inside mI (such an
+n exists by Artin-Rees), and in(I) is generated by the cone's pieces below
+that n, all read off one standard basis of I + m^n.  A minimal basis of I is
+then rewritten until its initial forms generate the computed ideal, so the
+degree sequence can be read off as the sorted orders of the rewritten basis.
 """
 
 from dataclasses import dataclass
 
 from .algebra import AlgIdeal, minimal_basis
+from .errors import Inconclusive
 from .groebner import INFINITE, PolyIdeal
-from .linalg import rref_insert, solve
-from .monomials import monomials_of_degree
+from .linalg import solve
 from .polynomials import Polynomial
 
 _STOP_LIMIT = 64
@@ -25,38 +26,6 @@ def _standard_of_degree(algebra, n):
     return [m for m in algebra.standard_monomials_up_to(n) if sum(m) == n]
 
 
-def _degree_slice(algebra, lifted, n):
-    """Basis of the homogeneous degree-n elements of the image of lifted + m^(n+1).
-
-    These are exactly the initial forms of the order-n members of the ideal,
-    together with zero.  Kernel vectors of the normal-form map are collected
-    through marker columns; the remainder block sorts before the marker block,
-    so a pivot in the marker block certifies a combination reducing to zero.
-    """
-    ring = algebra.ring
-    field = ring.field
-    std = _standard_of_degree(algebra, n)
-    if not std:
-        return []
-    one = field.one
-    walls = tuple(
-        Polynomial(ring, {e: one}) for e in monomials_of_degree(ring.n, n + 1)
-    )
-    bound = PolyIdeal(ring, lifted.groebner() + walls)
-    pivots = {}
-    for i, w in enumerate(std):
-        h = bound.normal_form(Polynomial(ring, {w: one}))
-        row = {("a", e): c for e, c in h.coeffs.items()}
-        row[("z", i)] = one
-        rref_insert(pivots, row, field)
-    out = []
-    for p, prow in sorted(pivots.items()):
-        if p[0] != "z":
-            continue
-        out.append(Polynomial(ring, {std[col[1]]: c for col, c in prow.items()}))
-    return out
-
-
 def _stop_degree(ideal, shrunk):
     """First n with I meet m^n contained in mI."""
     algebra = ideal.algebra
@@ -64,29 +33,31 @@ def _stop_degree(ideal, shrunk):
         met = ideal.lift.intersect(algebra.irrelevant_power(n).lift)
         if shrunk.lift.contains_ideal(met):
             return n
-    raise ArithmeticError("no Artin-Rees stop below the scan limit")
+    raise Inconclusive("no Artin-Rees stop below the scan limit", scan_limit=_STOP_LIMIT)
 
 
-def _initial_generators(ideal, shrunk, stop):
-    """Homogeneous generators of in(I), collected degree by degree.
+def _initial_generators(ideal, stop):
+    """Homogeneous generators of in(I): the tangent cone of I below degree stop.
 
-    Below stop - 1 every nonzero member of the slice is an initial form from
-    outside mI, because I meet m^(n+1) still escapes mI there.  At stop - 1
-    the realizable members are those outside the mI slice, and they span the
-    whole slice exactly when the two slices differ.
+    Adding m^stop leaves the cone unchanged below stop and keeps its standard
+    basis at the origin.  No initial form from outside mI has degree stop or
+    more, since I meet m^stop lies in mI.  Below stop - 1 every nonzero member
+    of a degree-n piece is one: add a member of I meet m^(n+1) outside mI to
+    its preimage.  At stop - 1 the members outside the piece of the cone of
+    mI are initial forms from outside mI, and they span the piece because
+    the mI piece is proper: some f in I meet m^(stop-1) lies outside mI, has
+    order stop - 1, and in(f) = in(g) with g in mI would put f - g in
+    I meet m^stop, so f in mI.  Hence the generators are the reduced-basis
+    members of degree 1 to stop - 1 that are nonzero mod P; stop = 1 happens
+    only for an ideal that is the unit ideal at the origin, which has none.
     """
     algebra = ideal.algebra
-    out = []
-    for n in range(1, stop):
-        rows = _degree_slice(algebra, ideal.lift, n)
-        if not rows:
-            continue
-        if n == stop - 1:
-            inner = _degree_slice(algebra, shrunk.lift, n)
-            # inner slice sits inside the outer one; equal sizes mean equality
-            if len(inner) == len(rows):
-                continue
-        out.extend(rows)
+    top = algebra.irrelevant_power(stop).lift.gens
+    # the reduced basis, not the given generators, is homogenised, so every
+    # generating set of one ideal shares one Lazard basis in the memo
+    cone = PolyIdeal(algebra.ring, ideal.lift.groebner() + top).tangent_cone()
+    P = algebra.defining
+    out = [g for g in cone.groebner() if 0 < g.degree() < stop and not P.contains(g)]
     if not out:
         raise ArithmeticError("empty initial ideal for a nonzero ideal")
     return out
@@ -127,7 +98,7 @@ def initial_ideal(ideal):
     A graded ideal keeps its homogeneous minimal basis and in(I) = I.  In
     general the basis is rewritten until no initial form lies in the ideal of
     the other initial forms, and the result is certified against the
-    degreewise computation of in(I); both directions of that comparison are
+    tangent-cone computation of in(I); both directions of that comparison are
     exact membership tests, and failure raises rather than returning a wrong
     ideal.
     """
@@ -139,7 +110,7 @@ def initial_ideal(ideal):
         return AlgIdeal(algebra, [b.initial_form for b in basis]), basis
     shrunk = ideal.times(algebra.irrelevant_ideal())
     stop = _stop_degree(ideal, shrunk)
-    wanted = _initial_generators(ideal, shrunk, stop)
+    wanted = _initial_generators(ideal, stop)
     ring = algebra.ring
     P = algebra.defining
     steps = 0

@@ -353,13 +353,16 @@ class PolyIdeal:
         return self._homog
 
     def tangent_cone(self):
-        """A monomial ideal with the Hilbert function of the tangent cone at the origin.
+        """The tangent cone at the origin: the homogeneous ideal of lowest-degree forms.
 
-        Its partial sums below k are the lengths dim k[x]/(self + (x)^k).  A
-        homogeneous ideal is its own tangent cone.  Otherwise Lazard's method
-        (1983) gives the leading ideal for a local degree order: homogenise
-        with a fresh h, take one basis ordering more h first, then degrevlex,
-        and set h = 1 in the leads.
+        Its degree-n part is the set of initial forms of the order-n members
+        of self, with zero, and the partial sums below k of its Hilbert
+        function are the lengths dim k[x]/(self + (x)^k).  A homogeneous ideal
+        is its own tangent cone.  Otherwise Lazard's method (1983) gives a
+        standard basis for a local degree order: homogenise with a fresh h,
+        take one basis ordering more h first, then degrevlex, and keep of each
+        element its terms of highest h power, with h dropped.  These lowest
+        forms generate the cone (Greuel-Pfister, ch. 5).
         """
         if self.is_homogeneous():
             return self
@@ -371,8 +374,13 @@ class PolyIdeal:
         for g in self.gens:
             top = g.degree()
             hgens.append(Polynomial(hring, {e + (top - sum(e),): c for e, c in g.coeffs.items()}))
-        leads = minimal_monomials(g.leading_monomial()[:n] for g in buchberger(hgens))
-        return PolyIdeal(self.ring, tuple(self.ring.monomial(m) for m in leads))
+        forms = []
+        for g in buchberger(hgens):
+            high = g.leading_monomial()[n]
+            forms.append(Polynomial(
+                self.ring, {e[:n]: c for e, c in g.coeffs.items() if e[n] == high}
+            ))
+        return PolyIdeal(self.ring, forms)
 
     # -- arithmetic on ideals ------------------------------------------------
 

@@ -96,7 +96,7 @@ def rees_multiplicity_oracle(I, window=None):
 def _reduction_degrees(I, h, degseq, seed):
     """The given degree sequence, else that of a minimal reduction; h entries."""
     if degseq is None:
-        J, _ = find_minimal_reduction(I, homogeneous=True, seed=seed)
+        J, _ = find_minimal_reduction(I, seed=seed)
         degseq = degree_sequence(J)
     degseq = tuple(degseq)
     if len(degseq) != h:
@@ -365,7 +365,7 @@ class QuotientRouteReport:
     agree: bool = None
 
 
-def mixed_via_fc_quotient(I, xs, fc_window=None, verify=True, window=None):
+def mixed_via_fc_quotient(I, xs, window=None):
     """e(m^[d-t], I^[t]) as e(S/(x_1..x_t)) for a weak-FC sequence from I.
 
     Also evaluates the order-product route o(x_1)..o(x_t) e(S) when the initial
@@ -390,29 +390,24 @@ def mixed_via_fc_quotient(I, xs, fc_window=None, verify=True, window=None):
             quotient_dim=quot_dim,
             expected=d - t,
         )
-    fc_verified = False
-    if verify:
-        if fc_window is None:
-            fc_window = FcWindow()
-        m = algebra.irrelevant_ideal()
-        gen_lists = [[g.rep for g in I.gens], [g.rep for g in m.gens]]
-        base_gens = algebra.defining.groebner()
-        for x in xs:
-            if not I.lift.contains(x.rep):
-                raise ValueError("sequence element outside I")
-            base = PolyIdeal(algebra.ring, base_gens)
-            fc1_ok, counter, fc2_ok, _wit = _fc_check_on_lift(
-                base, x.rep, gen_lists, 0, fc_window
+    m = algebra.irrelevant_ideal()
+    gen_lists = [[g.rep for g in I.gens], [g.rep for g in m.gens]]
+    base_gens = algebra.defining.groebner()
+    for x in xs:
+        if not I.lift.contains(x.rep):
+            raise ValueError("sequence element outside I")
+        base = PolyIdeal(algebra.ring, base_gens)
+        fc1_ok, counter, fc2_ok, _wit = _fc_check_on_lift(
+            base, x.rep, gen_lists, 0, FcWindow()
+        )
+        if not (fc1_ok and fc2_ok):
+            raise HypothesisFail(
+                "element fails the FC checks",
+                fc1=fc1_ok,
+                fc2=fc2_ok,
+                counterexample=list(counter) if counter else None,
             )
-            if not (fc1_ok and fc2_ok):
-                raise HypothesisFail(
-                    "element fails the FC checks",
-                    fc1=fc1_ok,
-                    fc2=fc2_ok,
-                    counterexample=list(counter) if counter else None,
-                )
-            base_gens = base_gens + (x.rep,)
-        fc_verified = True
+        base_gens = base_gens + (x.rep,)
     value = quotient_multiplicity(quot, window=window).value
     init = AlgIdeal(algebra, [x.initial_form for x in xs])
     order_product = None
@@ -424,7 +419,7 @@ def mixed_via_fc_quotient(I, xs, fc_window=None, verify=True, window=None):
             order_product *= x.order
         order_value = order_product * algebra.mult
         agree = order_value == value
-    return QuotientRouteReport(value, t, fc_verified, order_product, order_value, agree)
+    return QuotientRouteReport(value, t, True, order_product, order_value, agree)
 
 
 @dataclass
@@ -471,8 +466,8 @@ def invariance_check(I, E, with_oracle=True, seed=0, n_max=8, window=None):
             lhs_verdict=cert_i.verdict,
             rhs_verdict=cert_e.verdict,
         )
-    J_i, _ = find_minimal_reduction(I, homogeneous=I.is_homogeneous(), seed=seed)
-    J_e, _ = find_minimal_reduction(E, homogeneous=E.is_homogeneous(), seed=seed)
+    J_i, _ = find_minimal_reduction(I, seed=seed)
+    J_e, _ = find_minimal_reduction(E, seed=seed)
     seq_i = degree_sequence(J_i)
     seq_e = degree_sequence(J_e)
     fp_i = rees_multiplicity_fastpath(I, degseq=seq_i)

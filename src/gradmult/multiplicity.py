@@ -98,7 +98,7 @@ def samuel_oracle(q, window=None):
     return windowed_oracle(q.algebra.dim, window, 0, lambda n: colength(q.power(n)))
 
 
-def samuel_fastpath_general(xs, check_oracle_window=None):
+def samuel_fastpath_general(xs):
     """e((x_1..x_d); S) = o(x_1)...o(x_d) e(S) when the initial forms are a sop.
 
     Raises HypothesisFail when they are not.
@@ -199,5 +199,5 @@ def quotient_multiplicity(I, window=None):
         # the lengths rise strictly until they are stable and never pass the
         # local colength, so they are stable from that colength on
         window = (1, max(6, cone.k_dimension() + 3))
-    # the cone is monomial, so it is its own tangent cone: same lengths
+    # the cone is homogeneous, so it is its own tangent cone: same lengths
     return windowed_oracle(order, window, 0, adic_lengths(cone))

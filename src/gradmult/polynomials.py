@@ -74,7 +74,9 @@ class PolyRing:
         return (self.names, repr(self.field), self.order.kind, self.order.block)
 
     def __eq__(self, other):
-        return isinstance(other, PolyRing) and other.key() == self.key()
+        return other is self or (
+            isinstance(other, PolyRing) and other.key() == self.key()
+        )
 
     def __hash__(self):
         return hash(self.key())

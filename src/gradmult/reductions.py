@@ -73,18 +73,14 @@ def height_and_equimultiple(I):
     return HeightReport(ht, sp, ht == sp)
 
 
-def find_minimal_reduction(
-    I, homogeneous=None, seed=0, retries=DEFAULT_RETRIES, n_max=DEFAULT_N_MAX
-):
+def find_minimal_reduction(I, seed=0, retries=DEFAULT_RETRIES, n_max=DEFAULT_N_MAX):
     """Search for a reduction generated by analytic-spread many elements.
 
-    Homogeneous mode draws each generator from a graded piece of I, walking
-    candidate degree multisets smallest-first; otherwise generators are random
-    combinations of the minimal basis.  Raises SearchExhausted on failure.
+    For a homogeneous I each generator is drawn from a graded piece of I,
+    walking candidate degree multisets smallest-first; otherwise generators
+    are random combinations of the minimal basis.  Raises SearchExhausted on failure.
     """
     algebra = I.algebra
-    if homogeneous is None:
-        homogeneous = I.is_homogeneous()
     spread = analytic_spread(I)
     basis = minimal_basis(I)
     rng = random.Random(seed)
@@ -110,7 +106,7 @@ def find_minimal_reduction(
             return (J, cert)
         return None
 
-    if homogeneous:
+    if I.is_homogeneous():
         if any(not b.rep.is_homogeneous() for b in basis):
             raise ArithmeticError("homogeneous ideal produced a non-homogeneous basis")
         degrees = sorted({b.order for b in basis})

@@ -54,6 +54,24 @@ def regenerate(ideal, rng):
     return AlgIdeal(ideal.algebra, new)
 
 
+def random_poly(ring, rng, degree=None, constant=False):
+    """A few terms with exponents at most 2, all of total degree `degree` when
+    given; a constant term only when asked for."""
+    f = ring.zero()
+    while not f.coeffs:
+        for _ in range(rng.randint(1, 3)):
+            e = [0] * ring.n
+            target = degree if degree is not None else rng.randint(1, 3)
+            while sum(e) < target:
+                i = rng.randrange(ring.n)
+                if e[i] < 2:
+                    e[i] += 1
+            f = f + ring.monomial(e, ring.field.random_nonzero(rng))
+    if constant:
+        f = f + ring.constant(ring.field.random_nonzero(rng))
+    return f
+
+
 def origin_supported(ideal, bound=24):
     """True when some power of every variable lies in the lift.
 

@@ -1,10 +1,13 @@
-"""Tangent-cone lengths against the per-k colength they replaced.
+"""The tangent cone against the per-k colengths and per-degree slices it replaced.
 
 For every k <= 7 the partial sum below k of the tangent cone's Hilbert
-function must equal dim k[x]/(J + (x)^k) computed from a fresh basis.
+function must equal dim k[x]/(J + (x)^k) computed from a fresh basis, and
+for a non-homogeneous J the degree-n part of the cone must be spanned by the
+degree-n initial forms of J, read off a fresh basis of J + (x)^(n+1).
 """
 
 import random
+from math import comb
 
 import pytest
 
@@ -18,42 +21,43 @@ from gradmult import (
     poly_ring,
     rees_presentation,
 )
+from conftest import random_poly
 from reference_colength import adic_colength
+from reference_slices import degree_slice
 
 FIELDS = [PrimeField(2), PrimeField(3), PrimeField(32003), PrimeField(2147483647), QQ]
 NAMES = ("x", "y", "z")
 TOP = 7
 
 
-def assert_lengths_match(ideal):
-    """The tangent cone's lengths for k = 0..TOP equal the reference colengths."""
+def cone_hilbert_function(ideal):
     cone = ideal.tangent_cone()
     if cone.is_unit():
-        lengths = [0] * (TOP + 1)
-    else:
-        hf = hilbert_data(cone).hilbert_function
-        lengths = [sum(map(hf, range(k))) for k in range(TOP + 1)]
+        return lambda n: 0
+    return hilbert_data(cone).hilbert_function
+
+
+def assert_lengths_match(ideal):
+    """The tangent cone's lengths for k = 0..TOP equal the reference colengths."""
+    hf = cone_hilbert_function(ideal)
+    lengths = [sum(map(hf, range(k))) for k in range(TOP + 1)]
     reference = [adic_colength(ideal.ring, ideal.gens, k) for k in range(TOP + 1)]
     assert lengths == reference
     return lengths
 
 
-def random_poly(ring, rng, degree=None, constant=False):
-    """A few terms with exponents at most 2, all of total degree `degree` when
-    given; a constant term only when asked for."""
-    f = ring.zero()
-    while not f.coeffs:
-        for _ in range(rng.randint(1, 3)):
-            e = [0] * ring.n
-            target = degree if degree is not None else rng.randint(1, 3)
-            while sum(e) < target:
-                i = rng.randrange(ring.n)
-                if e[i] < 2:
-                    e[i] += 1
-            f = f + ring.monomial(e, ring.field.random_nonzero(rng))
-    if constant:
-        f = f + ring.constant(ring.field.random_nonzero(rng))
-    return f
+def assert_pieces_span_slices(ideal):
+    """The cone is homogeneous, and for n = 0..TOP its degree-n part holds the
+    reference slice and has the slice's dimension."""
+    cone = ideal.tangent_cone()
+    assert cone.is_homogeneous()
+    hf = cone_hilbert_function(ideal)
+    ring = ideal.ring
+    algebra = make_algebra(ring)
+    for n in range(TOP + 1):
+        rows = degree_slice(algebra, ideal, n)
+        assert all(cone.contains(r) for r in rows)
+        assert len(rows) == comb(n + ring.n - 1, n) - hf(n)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -81,7 +85,7 @@ def test_seeded_non_homogeneous_ideals(field):
         if ideal.is_homogeneous():
             continue
         drawn += 1
-        assert all(g.is_term() for g in ideal.tangent_cone().gens)
+        assert_pieces_span_slices(ideal)
         assert_lengths_match(ideal)
 
 
