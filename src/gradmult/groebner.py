@@ -362,7 +362,9 @@ class PolyIdeal:
         standard basis for a local degree order: homogenise with a fresh h,
         take one basis ordering more h first, then degrevlex, and keep of each
         element its terms of highest h power, with h dropped.  These lowest
-        forms generate the cone (Greuel-Pfister, ch. 5).
+        forms are a degrevlex Groebner basis of the cone (Greuel-Pfister,
+        ch. 5), their leads being the basis leads with h dropped, so the
+        forms whose leads are minimal already generate it.
         """
         if self.is_homogeneous():
             return self
@@ -374,11 +376,17 @@ class PolyIdeal:
         for g in self.gens:
             top = g.degree()
             hgens.append(Polynomial(hring, {e + (top - sum(e),): c for e, c in g.coeffs.items()}))
+        lazard = buchberger(hgens)
+        wanted = set(minimal_monomials(g.leading_monomial()[:n] for g in lazard))
         forms = []
-        for g in buchberger(hgens):
-            high = g.leading_monomial()[n]
+        for g in lazard:
+            lead = g.leading_monomial()
+            # leads equal once h is dropped: one form per minimal lead
+            if lead[:n] not in wanted:
+                continue
+            wanted.discard(lead[:n])
             forms.append(Polynomial(
-                self.ring, {e[:n]: c for e, c in g.coeffs.items() if e[n] == high}
+                self.ring, {e[:n]: c for e, c in g.coeffs.items() if e[n] == lead[n]}
             ))
         return PolyIdeal(self.ring, forms)
 

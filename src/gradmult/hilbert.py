@@ -2,9 +2,12 @@
 and Krull dimensions.
 
 The numerator over (1-t)^n is computed from the monomial leading ideal by
-pivot recursion: split on a most-frequent variable p, using
-N(I) = N(I + p) + t * N(I : p), with pairwise-coprime generator sets as the
-closed-form base case.
+Bigatti's pivot recursion (Bigatti 1997; Bayer-Stillman 1992): split on a
+power p^k of a most-frequent variable p, using
+N(I) = N(I + p^k) + t^k * N(I : p^k), where k is the lower median of the
+positive exponents of p.  Two closed forms end the recursion: generators
+with pairwise-coprime supports (a complete intersection), and generators in
+at most two variables, whose staircase resolution is read off directly.
 """
 
 import functools
@@ -52,6 +55,27 @@ def _one_minus_tk(k):
     return out
 
 
+def _staircase_numerator(gens, a):
+    """Numerator for minimal generators in two variables, a being one of them.
+
+    Sorted by ascending exponent of a, the other exponent strictly descends,
+    and the consecutive lcms are the only syzygies:
+    1 - sum t^|g_i| + sum t^|lcm(g_i, g_(i+1))|.
+    """
+    gens = sorted(gens, key=lambda m: m[a])
+    degrees = [sum(m) for m in gens]
+    lcms = [
+        sum(x if x > y else y for x, y in zip(g, h)) for g, h in zip(gens, gens[1:])
+    ]
+    out = [0] * (max(degrees + lcms) + 1)
+    out[0] = 1
+    for d in degrees:
+        out[d] -= 1
+    for d in lcms:
+        out[d] += 1
+    return _poly_trim(out)
+
+
 def _numerator(gens):
     """Numerator over (1-t)^n for the monomial ideal with these minimal generators."""
     if not gens:
@@ -69,13 +93,22 @@ def _numerator(gens):
         for m in gens:
             out = _poly_mul(out, _one_minus_tk(sum(m)))
         return out
-    pivot = counts.index(top)
-    pure = tuple(1 if i == pivot else 0 for i in range(n))
-    plus_gens = [m for m in gens if m[pivot] == 0] + [pure]
+    support = [i for i, c in enumerate(counts) if c]
+    if len(support) <= 2:
+        return _staircase_numerator(gens, support[0])
+    p = counts.index(top)
+    exps = sorted(m[p] for m in gens if m[p])
+    # the lower median: at least two generators have p-exponent >= k, so
+    # fewer generators involve p in I + p^k, and fewer in I : p^k
+    k = exps[(len(exps) - 1) // 2]
+    # I + p^k needs no minimalising: a pure power of p would be the only
+    # generator with the largest p-exponent, above k, so no kept one divides p^k
+    plus_gens = [m for m in gens if m[p] < k]
+    plus_gens.append(tuple(k if i == p else 0 for i in range(n)))
     colon_gens = minimal_monomials(
-        m[:pivot] + (m[pivot] - 1,) + m[pivot + 1:] if m[pivot] else m for m in gens
+        m[:p] + (max(m[p] - k, 0),) + m[p + 1:] for m in gens
     )
-    return _poly_add(_numerator(plus_gens), _poly_shift(_numerator(colon_gens), 1))
+    return _poly_add(_numerator(plus_gens), _poly_shift(_numerator(colon_gens), k))
 
 
 @dataclass(frozen=True)
@@ -138,3 +171,29 @@ def hilbert_data(ideal):
     if e <= 0 or d < 0:
         raise ArithmeticError("inconsistent Hilbert series reduction")
     return HilbertData(numerator=num, dimension=d, multiplicity=e)
+
+
+def _series_numerator(ideal):
+    """Numerator over (1-t)^n of the Hilbert series of ring/ideal; [] for the unit ideal."""
+    if ideal.is_unit():
+        return []
+    num, d = leading_series(ideal.leading_monomials(), ideal.ring.n)
+    out = list(num)
+    for _ in range(ideal.ring.n - d):
+        out = _poly_mul(out, [1, -1])
+    return out
+
+
+def same_series(left, right):
+    """True when the Hilbert series of ring/I summed over the ideals in left
+    equals that sum over right.
+
+    All ideals are homogeneous ideals of one ring, so each series is that of
+    the leading ideal (Macaulay); unit ideals count as zero.
+    """
+    total = []
+    for ideal in left:
+        total = _poly_add(total, _series_numerator(ideal))
+    for ideal in right:
+        total = _poly_add(total, [-v for v in _series_numerator(ideal)])
+    return not total

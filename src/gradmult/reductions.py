@@ -3,6 +3,8 @@
 Reduction certification is the bounded power test I^{n+1} = J I^n.  FC checks
 run inside quotients by earlier sequence members; those quotients are handled
 entirely on polynomial lifts, so nothing here needs the quotient to be graded.
+FC1 compares Hilbert series of sums when the lift, the element and every ideal
+are homogeneous, and intersects by elimination otherwise.
 """
 
 import itertools
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 from .algebra import AlgIdeal, minimal_basis
 from .errors import SearchExhausted
 from .groebner import PolyIdeal
+from .hilbert import same_series
 
 DEFAULT_N_MAX = 8
 DEFAULT_RETRIES = 32
@@ -226,17 +229,39 @@ def _fc2_filter_regular(base, x_rep, sat):
     return True, None
 
 
-def _fc1_intersection(cache, base, x_rep, slot, exps):
-    """(x) cap prod(slot bumped) == x * prod(exps) over the base lift."""
+def _fc1_sides(cache, x_rep, slot, exps):
+    """(B, rhs) of FC1 at exps: B = prod(slot bumped) and rhs = base + x * prod(exps)."""
     bumped = exps[:slot] + (exps[slot] + 1,) + exps[slot + 1:]
-    lhs = PolyIdeal(base.ring, base.gens + (x_rep,)).intersect(cache.ideal(bumped))
-    rhs_gens = list(base.gens) + [x_rep * g for g in cache.ideal(exps).groebner()]
-    rhs = PolyIdeal(base.ring, tuple(rhs_gens))
-    return lhs.equals(rhs)
+    rhs_gens = list(cache.base) + [x_rep * g for g in cache.ideal(exps).groebner()]
+    return cache.ideal(bumped), PolyIdeal(cache.ring, tuple(rhs_gens))
+
+
+def _fc1_intersection(cache, base_x, x_rep, slot, exps):
+    """(base + x) cap prod(slot bumped) == base + x * prod(exps), by elimination."""
+    bumped, rhs = _fc1_sides(cache, x_rep, slot, exps)
+    return base_x.intersect(bumped).equals(rhs)
+
+
+def _fc1_series(cache, base_x, x_rep, slot, exps):
+    """The same identity for homogeneous input, from Hilbert series of sums.
+
+    With A = base + x and B = prod(slot bumped), rhs lies in A cap B (x lies
+    in its slot ideal), so the two are equal exactly when their series are.
+    HS(R/(A cap B)) = HS(R/A) + HS(R/B) - HS(R/(A + B)), and A + B = B + x
+    because base lies in B: no intersection is computed.
+    """
+    bumped, rhs = _fc1_sides(cache, x_rep, slot, exps)
+    bumped_x = PolyIdeal(base_x.ring, bumped.groebner() + (x_rep,))
+    return same_series((base_x, bumped), (bumped_x, rhs))
 
 
 def _fc_check_on_lift(base, x_rep, gen_lists, slot, window):
-    """Run FC2 then windowed FC1 for x over the given base lift."""
+    """Run FC2 then windowed FC1 for x over the given base lift.
+
+    x must lie in its slot ideal modulo base.  FC1 compares Hilbert series
+    when base, x and every generator are homogeneous, and intersects by
+    elimination otherwise.
+    """
     ring = base.ring
     cache = _ProductCache(ring, base.gens, gen_lists)
     all_ones = tuple(1 for _ in gen_lists)
@@ -244,9 +269,16 @@ def _fc_check_on_lift(base, x_rep, gen_lists, slot, window):
     if sat.is_unit():
         raise ValueError("product of the ideals is nilpotent modulo the base")
     fc2_ok, fc2_wit = _fc2_filter_regular(base, x_rep, sat)
+    homogeneous = (
+        base.is_homogeneous()
+        and x_rep.is_homogeneous()
+        and all(g.is_homogeneous() for gl in gen_lists for g in gl)
+    )
+    fc1 = _fc1_series if homogeneous else _fc1_intersection
+    base_x = PolyIdeal(ring, base.gens + (x_rep,))
     fc1_ok, counter = True, None
     for exps in window.tuples(len(gen_lists), slot):
-        if not _fc1_intersection(cache, base, x_rep, slot, exps):
+        if not fc1(cache, base_x, x_rep, slot, exps):
             fc1_ok, counter = False, tuple(exps)
             break
     return fc1_ok, counter, fc2_ok, fc2_wit
@@ -256,7 +288,8 @@ def fc_check_element(x, ideals, slot, window=None):
     """FC checks for x in ideals[slot] relative to the whole ideal tuple.
 
     FC2 (filter-regularity) is exact; FC1 (the intersection identity) is
-    verified over the finite exponent window.
+    verified over the finite exponent window, from Hilbert series of sums on
+    homogeneous input and by elimination otherwise, with the same verdicts.
     """
     if window is None:
         window = FcWindow()

@@ -136,6 +136,35 @@ def test_fc_check_element_saturates_once(hyper, monkeypatch):
     assert len(calls) == 1
 
 
+def test_fc_check_element_homogeneous_fc1_intersects_nothing(hyper, monkeypatch):
+    # on homogeneous input FC1 compares Hilbert series of sums, so every
+    # intersection left belongs to a colon: FC2's and the saturation's
+    inside_colon = [0]
+    outside = []
+    colon, intersect = PolyIdeal.colon, PolyIdeal.intersect
+
+    def counted_colon(self, other):
+        inside_colon[0] += 1
+        try:
+            return colon(self, other)
+        finally:
+            inside_colon[0] -= 1
+
+    def counted_intersect(self, other):
+        if not inside_colon[0]:
+            outside.append(other)
+        return intersect(self, other)
+
+    monkeypatch.setattr(PolyIdeal, "colon", counted_colon)
+    monkeypatch.setattr(PolyIdeal, "intersect", counted_intersect)
+    x, y, z = hyper.gens()
+    m = AlgIdeal(hyper, [x, y, z])
+    report = fc_check_element(y, [m, AlgIdeal(hyper, [x, y])], 0)
+    assert not report.fc1_pass
+    assert report.fc1_counterexample == (2, 1)
+    assert outside == []
+
+
 def test_fc_check_element_guards(kxy, nondomain):
     x, y = kxy.gens()
     m = AlgIdeal(kxy, [x, y])

@@ -14,8 +14,11 @@ import pytest
 from gradmult import (
     QQ,
     AlgIdeal,
+    MonomialOrder,
     PolyIdeal,
     PrimeField,
+    Polynomial,
+    buchberger,
     hilbert_data,
     make_algebra,
     poly_ring,
@@ -35,6 +38,24 @@ def cone_hilbert_function(ideal):
     if cone.is_unit():
         return lambda n: 0
     return hilbert_data(cone).hilbert_function
+
+
+def all_forms_cone(ideal):
+    """The tangent cone of a non-homogeneous ideal generated by every lowest
+    form of the Lazard basis, as it was built before only the forms with
+    minimal leads were kept."""
+    ring = ideal.ring
+    n = ring.n
+    hring = ring.extended(("_h",), MonomialOrder.elimination(n + 1, (n,)))
+    hgens = []
+    for g in ideal.gens:
+        top = g.degree()
+        hgens.append(Polynomial(hring, {e + (top - sum(e),): c for e, c in g.coeffs.items()}))
+    forms = []
+    for g in buchberger(hgens):
+        high = g.leading_monomial()[n]
+        forms.append(Polynomial(ring, {e[:n]: c for e, c in g.coeffs.items() if e[n] == high}))
+    return PolyIdeal(ring, forms)
 
 
 def assert_lengths_match(ideal):
@@ -128,3 +149,22 @@ def test_rees_presentations(field):
         rees = rees_presentation(AlgIdeal(S, gens)).rees_ideal
         assert not rees.is_homogeneous()
         assert_lengths_match(rees)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_minimal_lead_forms_generate_the_cone(field):
+    rng = random.Random(300 + FIELDS.index(field))
+    fewer = 0
+    for order in (None, MonomialOrder.elimination(3, (0,))):
+        ring = poly_ring(NAMES, field, order)
+        x, y, z = ring.gens()
+        for relations in ([], [y * y * z - x**3], [x * y]):
+            gens = [random_poly(ring, rng) + random_poly(ring, rng) for _ in range(2)]
+            ideal = PolyIdeal(ring, relations + gens)
+            if ideal.is_homogeneous():
+                continue
+            cone, reference = ideal.tangent_cone(), all_forms_cone(ideal)
+            assert cone.groebner() == reference.groebner()
+            assert len(cone.gens) <= len(reference.gens)
+            fewer += len(cone.gens) < len(reference.gens)
+    assert fewer
