@@ -1,11 +1,13 @@
 """Mixed multiplicities and Rees algebra multiplicities, oracle and fast path.
 
 The oracle side is exact arithmetic all the way down: Bhattacharya tables come
-from Hilbert-function differences fitted by an exact polynomial, and the Rees
-multiplicity from the (x, T)-adic colengths of the eliminated presentation,
-read off the Hilbert function of its tangent cone at the origin (one Lazard
-standard basis for every length).  Fast paths are the degree-sequence product
-formulas; the two sides are never mixed.
+from layer lengths l(m^a K / m^(a+1) K) fitted by an exact polynomial.  All
+the lengths of one K (one column of the grid) are read off one Hilbert series
+per degree of the homogeneous components of K's generators, with no product
+by a power of m.  The Rees multiplicity comes from the (x, T)-adic colengths
+of the eliminated presentation, read off the Hilbert function of its tangent
+cone at the origin (one Lazard standard basis for every length).  Fast paths
+are the degree-sequence product formulas; the two sides are never mixed.
 """
 
 import itertools
@@ -193,16 +195,45 @@ class MixedMultiplicityTable:
         return self.entries[tuple(key)]
 
 
-def _length_between(cap, inner_lift, outer_lift):
-    """l(outer/inner) for nested ideals as a sum of Hilbert-function
-    differences; the module is generated in degrees <= cap, so the two
-    quotient functions agree past it."""
-    hd_inner = hilbert_data(inner_lift)
-    hd_outer = hilbert_data(outer_lift)
-    total = 0
-    for t in range(cap + 1):
-        total += hd_inner.hilbert_function(t) - hd_outer.hilbert_function(t)
-    return total
+def _layer_lengths(algebra, K, n0s):
+    """{a: l(m^a K / m^(a+1) K)} for each a in n0s, K a graded ideal of S = R/P.
+
+    Split the generators of K into their homogeneous components.  These lie
+    in K because K is graded, and they generate it.  For a degree j let L_j
+    be the ideal P + (components of degree <= j) of R; with no components it
+    is P, so L_j changes only at the component degrees s_1 < s_2 < ... .
+
+    Identity: (m^a K)_t = (L_(t-a)/P)_t.  Proof: m^a K is generated by the
+    products u g, u a monomial of degree a and g a component, so (m^a K)_t
+    is the sum of S_(t-a-deg g) S_a g over the g with deg g <= t - a.  S is
+    standard graded, so S_(t-a-deg g) S_a = S_(t-deg g), and the sum is the
+    degree-t piece of the ideal of S generated by the components of degree
+    <= t - a, which is (L_(t-a)/P)_t.
+
+    Since dim (L/P)_t = HF(R/P)(t) - HF(R/L)(t), the layer in degree t has
+    dimension HF(R/L_(t-a-1))(t) - HF(R/L_(t-a))(t).  It vanishes unless
+    t - a is a component degree s, where L_(t-a-1) = L_(s-), s- the previous
+    component degree.  Summing over t,
+
+        l(m^a K / m^(a+1) K) = sum_s [HF(R/L_(s-))(a + s) - HF(R/L_s)(a + s)],
+
+    one Hilbert series per distinct component degree, whatever the range of
+    a, and no product with a power of m.  A unit L_s (K = S) has HF = 0.
+    """
+    parts = {}
+    for g in K.gens:
+        for d, part in g.rep.homogeneous_components().items():
+            parts.setdefault(d, []).append(part)
+    lengths = dict.fromkeys(n0s, 0)
+    L = algebra.defining
+    before = algebra.hilbert.hilbert_function
+    for s in sorted(parts):
+        L = PolyIdeal(algebra.ring, L.groebner() + tuple(parts[s]))
+        after = (lambda t: 0) if L.is_unit() else hilbert_data(L).hilbert_function
+        for a in lengths:
+            lengths[a] += before(a + s) - after(a + s)
+        before = after
+    return lengths
 
 
 def bhattacharya_oracle(ideals, n0_range=(2, 5), n_ranges=None):
@@ -228,6 +259,14 @@ def bhattacharya_oracle(ideals, n0_range=(2, 5), n_ranges=None):
             raise ValueError("oracle needs homogeneous ideals")
     if n_ranges is None:
         n_ranges = tuple((2, 5) for _ in range(s))
+    if len(n_ranges) != s:
+        raise ValueError(f"need one n range per ideal: {s} ideals, {len(n_ranges)} ranges")
+    for r in (n0_range, *n_ranges):
+        if not (
+            isinstance(r, (tuple, list)) and len(r) == 2
+            and all(isinstance(v, int) for v in r) and 0 <= r[0] <= r[1]
+        ):
+            raise ValueError(f"range {r!r} must be a pair (lo, hi) with 0 <= lo <= hi")
     prod = ideals[0]
     for I in ideals[1:]:
         prod = prod.times(I)
@@ -239,21 +278,15 @@ def bhattacharya_oracle(ideals, n0_range=(2, 5), n_ranges=None):
     q = sat.krull_dimension()
     if q < 1:
         raise ValueError("saturated quotient is Artinian; no positive-degree table")
-    m = algebra.irrelevant_ideal()
-
-    grid = {}
-    axes = [range(n0_range[0], n0_range[1] + 1)]
-    for lo, hi in n_ranges:
-        axes.append(range(lo, hi + 1))
-    for point in itertools.product(*axes):
-        n0, ns = point[0], point[1:]
+    n0s = range(n0_range[0], n0_range[1] + 1)
+    axes = [range(lo, hi + 1) for lo, hi in n_ranges]
+    columns = {}
+    for ns in itertools.product(*axes):
         K = AlgIdeal(algebra, (algebra.one(),))
         for I, nj in zip(ideals, ns):
             K = K.times(I.power(nj))
-        small = m.power(n0 + 1).times(K)
-        big = m.power(n0).times(K)
-        cap = n0 + max((g.rep.degree() for g in K.gens), default=0)
-        grid[point] = _length_between(cap, small.lift, big.lift)
+        columns[ns] = _layer_lengths(algebra, K, n0s)
+    grid = {p: columns[p[1:]][p[0]] for p in itertools.product(n0s, *axes)}
 
     monos = [mo for mo in monomials_up_to(1 + s, q - 1)]
     monos.sort(key=lambda e: (sum(e), e), reverse=True)

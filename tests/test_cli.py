@@ -128,6 +128,21 @@ def test_exit_code_usage_error(tmp_path, capsys):
     assert doc["reports"][0]["error"]["code"] == "USAGE-ERROR"
 
 
+def test_mixed_bad_window_is_a_usage_error(tmp_path, capsys):
+    text = "ring S vars [x, y] field qq relations [];\nideal I = [x, y];\n"
+    # a reversed window, and a bare number where a pair belongs
+    for option in ("n0=(5,2)", "n0=3"):
+        rc = main(["run", _write(tmp_path, "window.gm", text + f"cmd mixed I {option};\n")])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert doc["reports"][0]["error"]["code"] == "USAGE-ERROR"
+    # a one-point axis is a valid window whose fit fails: a refuted hypothesis
+    rc = main(["run", _write(tmp_path, "thin.gm", text + "cmd mixed I n=(3,3);\n")])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 2
+    assert doc["reports"][0]["error"]["code"] == "FIT-MISMATCH"
+
+
 def test_exit_code_internal_error(tmp_path, capsys):
     rc = main(["run", _write(tmp_path, "internal.gm", INTERNAL)])
     doc = json.loads(capsys.readouterr().out)

@@ -4,6 +4,7 @@ import pytest
 
 from gradmult import (
     AlgIdeal,
+    FitMismatch,
     HypothesisFail,
     PolyIdeal,
     PrimeField,
@@ -162,6 +163,32 @@ def test_bhattacharya_guards(kxy, nondomain):
     X, Y = nondomain.gens()
     with pytest.raises(ValueError):
         bhattacharya_oracle([AlgIdeal(nondomain, [X])])
+
+
+def test_bhattacharya_rejects_bad_windows(kxy):
+    x, y = kxy.gens()
+    m = AlgIdeal(kxy, [x, y])
+    for n0_range in ((5, 2), (-1, 3), (2,), 3):
+        with pytest.raises(ValueError, match="range"):
+            bhattacharya_oracle([m], n0_range=n0_range)
+    with pytest.raises(ValueError, match="range"):
+        bhattacharya_oracle([m], n_ranges=((4, 3),))
+    # one range for two ideals, and three for two
+    with pytest.raises(ValueError, match="one n range per ideal"):
+        bhattacharya_oracle([AlgIdeal(kxy, [x]), AlgIdeal(kxy, [y])], n_ranges=((2, 4),))
+    with pytest.raises(ValueError, match="one n range per ideal"):
+        bhattacharya_oracle(
+            [AlgIdeal(kxy, [x]), AlgIdeal(kxy, [y])],
+            n0_range=(2, 4),
+            n_ranges=((2, 4), (2, 4), (2, 4)),
+        )
+
+
+def test_bhattacharya_one_point_axis_is_a_fit_failure(kxy):
+    # a valid window too thin to fit is a refuted fit, not bad input
+    x, y = kxy.gens()
+    with pytest.raises(FitMismatch, match="no invertible fit system"):
+        bhattacharya_oracle([AlgIdeal(kxy, [x, y])], n_ranges=((3, 3),))
 
 
 def test_mixed_fastpath_values(kxy):
