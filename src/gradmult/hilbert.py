@@ -185,15 +185,15 @@ def _series_numerator(ideal):
 
 
 def same_series(left, right):
-    """True when the Hilbert series of ring/I summed over the ideals in left
+    """True when the sum of t^k HS(ring/I) over the pairs (I, k) in left
     equals that sum over right.
 
     All ideals are homogeneous ideals of one ring, so each series is that of
     the leading ideal (Macaulay); unit ideals count as zero.
     """
     total = []
-    for ideal in left:
-        total = _poly_add(total, _series_numerator(ideal))
-    for ideal in right:
-        total = _poly_add(total, [-v for v in _series_numerator(ideal)])
+    for ideal, k in left:
+        total = _poly_add(total, _poly_shift(_series_numerator(ideal), k))
+    for ideal, k in right:
+        total = _poly_add(total, [-v for v in _poly_shift(_series_numerator(ideal), k)])
     return not total

@@ -430,15 +430,13 @@ def mixed_via_fc_quotient(I, xs, window=None):
         if not I.lift.contains(x.rep):
             raise ValueError("sequence element outside I")
         base = PolyIdeal(algebra.ring, base_gens)
-        fc1_ok, counter, fc2_ok, _wit = _fc_check_on_lift(
-            base, x.rep, gen_lists, 0, FcWindow()
-        )
-        if not (fc1_ok and fc2_ok):
+        rep = _fc_check_on_lift(base, x, gen_lists, 0, FcWindow())
+        if not rep.ok:
             raise HypothesisFail(
                 "element fails the FC checks",
-                fc1=fc1_ok,
-                fc2=fc2_ok,
-                counterexample=list(counter) if counter else None,
+                fc1=rep.fc1_pass,
+                fc2=rep.fc2_pass,
+                counterexample=list(rep.fc1_counterexample) if rep.fc1_counterexample else None,
             )
         base_gens = base_gens + (x.rep,)
     value = quotient_multiplicity(quot, window=window).value
@@ -480,7 +478,7 @@ class InvarianceReport:
         return True
 
 
-def invariance_check(I, E, with_oracle=True, seed=0, n_max=8, window=None):
+def invariance_check(I, E, with_oracle=True, seed=0):
     """Same-closure ideals must share degree sequences, mixed and Rees numbers.
 
     The closure hypothesis is certified by checking both ideals reduce their
@@ -490,8 +488,8 @@ def invariance_check(I, E, with_oracle=True, seed=0, n_max=8, window=None):
     if E.algebra != algebra:
         raise ValueError("ideals from different algebras")
     total = I.plus(E)
-    cert_i = is_reduction(I, total, n_max=n_max)
-    cert_e = is_reduction(E, total, n_max=n_max)
+    cert_i = is_reduction(I, total)
+    cert_e = is_reduction(E, total)
     certified = cert_i.ok and cert_e.ok
     if not certified:
         raise HypothesisFail(
@@ -513,8 +511,8 @@ def invariance_check(I, E, with_oracle=True, seed=0, n_max=8, window=None):
         rees_fastpath_rhs=fp_e.value,
     )
     if with_oracle:
-        report.rees_oracle_lhs = rees_multiplicity_oracle(I, window=window).value
-        report.rees_oracle_rhs = rees_multiplicity_oracle(E, window=window).value
+        report.rees_oracle_lhs = rees_multiplicity_oracle(I).value
+        report.rees_oracle_rhs = rees_multiplicity_oracle(E).value
         report.mixed_lhs = bhattacharya_oracle([I]).entries
         report.mixed_rhs = bhattacharya_oracle([E]).entries
     return report

@@ -134,7 +134,7 @@ def samuel_fastpath_general(xs):
     )
 
 
-def samuel_fastpath_domain(I, J, domain_asserted=False, n_max=8):
+def samuel_fastpath_domain(I, J, domain_asserted=False):
     """e(I; S) = c_1...c_d e(S) from the degree sequence of a minimal reduction J.
 
     Valid when S is a domain, which cannot be checked here: the caller must
@@ -148,11 +148,11 @@ def samuel_fastpath_domain(I, J, domain_asserted=False, n_max=8):
     d = algebra.dim
     if I.lift.k_dimension() is INFINITE:
         raise ValueError("I must be m-primary")
-    cert = is_reduction(J, I, n_max=n_max)
+    cert = is_reduction(J, I)
     if cert.verdict != "REDUCTION":
         raise Inconclusive(
             "could not certify J as a reduction of I within the power bound",
-            n_max=n_max,
+            n_max=cert.n_max,
         )
     seq = degree_sequence(J)
     if len(seq) != d:

@@ -3,8 +3,9 @@
 Reduction certification is the bounded power test I^{n+1} = J I^n.  FC checks
 run inside quotients by earlier sequence members; those quotients are handled
 entirely on polynomial lifts, so nothing here needs the quotient to be graded.
-FC1 compares Hilbert series of sums when the lift, the element and every ideal
-are homogeneous, and intersects by elimination otherwise.
+FC1 is checked as B : x = K_n + (base : x), one annihilator base : x per
+element serving FC1 and FC2: by Hilbert series when the lift, the element and
+every ideal are homogeneous, and by a colon otherwise.
 """
 
 import itertools
@@ -31,19 +32,19 @@ class ReductionCertificate:
         return self.verdict == "REDUCTION"
 
 
-def is_reduction(J, I, n_max=DEFAULT_N_MAX):
-    """Certify I^{n+1} = J I^n for some n <= n_max; containment violations raise."""
+def is_reduction(J, I):
+    """Certify I^{n+1} = J I^n for some n <= DEFAULT_N_MAX; containment violations raise."""
     if J.algebra != I.algebra:
         raise ValueError("mixed-algebra reduction test")
     for g in J.gens:
         if not I.lift.contains(g.rep):
             raise ValueError("J is not contained in I")
-    for n in range(n_max + 1):
+    for n in range(DEFAULT_N_MAX + 1):
         lhs = I.power(n + 1)
         rhs = J.times(I.power(n))
         if lhs.lift.equals(rhs.lift):
-            return ReductionCertificate("REDUCTION", n, n_max)
-    return ReductionCertificate("INCONCLUSIVE", None, n_max)
+            return ReductionCertificate("REDUCTION", n)
+    return ReductionCertificate("INCONCLUSIVE")
 
 
 def analytic_spread(I):
@@ -76,7 +77,7 @@ def height_and_equimultiple(I):
     return HeightReport(ht, sp, ht == sp)
 
 
-def find_minimal_reduction(I, seed=0, retries=DEFAULT_RETRIES, n_max=DEFAULT_N_MAX):
+def find_minimal_reduction(I, seed=0, retries=DEFAULT_RETRIES):
     """Search for a reduction generated by analytic-spread many elements.
 
     For a homogeneous I each generator is drawn from a graded piece of I,
@@ -104,7 +105,7 @@ def find_minimal_reduction(I, seed=0, retries=DEFAULT_RETRIES, n_max=DEFAULT_N_M
                 return None
         except ValueError:
             return None
-        cert = is_reduction(J, I, n_max=n_max)
+        cert = is_reduction(J, I)
         if cert.ok:
             return (J, cert)
         return None
@@ -220,47 +221,47 @@ class _ProductCache:
         return out
 
 
-def _fc2_filter_regular(base, x_rep, sat):
-    """Exact check (base : x) subseteq sat = (base : prod^infinity); returns (ok, witness)."""
-    ann = base.colon(x_rep)
-    for g in ann.groebner():
-        if not sat.contains(g):
-            return False, repr(g)
-    return True, None
-
-
-def _fc1_sides(cache, x_rep, slot, exps):
-    """(B, rhs) of FC1 at exps: B = prod(slot bumped) and rhs = base + x * prod(exps)."""
+def _fc1_sides(cache, ann, slot, exps):
+    """(B, C) of FC1 at exps: B = prod(slot bumped) and C = prod(exps) + ann,
+    which is the cached prod(exps) itself when ann already lies in it."""
     bumped = exps[:slot] + (exps[slot] + 1,) + exps[slot + 1:]
-    rhs_gens = list(cache.base) + [x_rep * g for g in cache.ideal(exps).groebner()]
-    return cache.ideal(bumped), PolyIdeal(cache.ring, tuple(rhs_gens))
+    prod = cache.ideal(exps)
+    extra = tuple(g for g in ann.groebner() if not prod.contains(g))
+    if extra:
+        prod = PolyIdeal(cache.ring, prod.groebner() + extra)
+    return cache.ideal(bumped), prod
 
 
-def _fc1_intersection(cache, base_x, x_rep, slot, exps):
-    """(base + x) cap prod(slot bumped) == base + x * prod(exps), by elimination."""
-    bumped, rhs = _fc1_sides(cache, x_rep, slot, exps)
-    return base_x.intersect(bumped).equals(rhs)
+def _fc1_series(cache, ann, x_rep, slot, exps):
+    """B : x == C on homogeneous input: HS(R/B) = HS(R/(B + x)) + t^deg(x) HS(R/C)."""
+    bumped, rhs = _fc1_sides(cache, ann, slot, exps)
+    bumped_x = PolyIdeal(cache.ring, bumped.groebner() + (x_rep,))
+    return same_series(((bumped, 0),), ((bumped_x, 0), (rhs, x_rep.degree())))
 
 
-def _fc1_series(cache, base_x, x_rep, slot, exps):
-    """The same identity for homogeneous input, from Hilbert series of sums.
-
-    With A = base + x and B = prod(slot bumped), rhs lies in A cap B (x lies
-    in its slot ideal), so the two are equal exactly when their series are.
-    HS(R/(A cap B)) = HS(R/A) + HS(R/B) - HS(R/(A + B)), and A + B = B + x
-    because base lies in B: no intersection is computed.
-    """
-    bumped, rhs = _fc1_sides(cache, x_rep, slot, exps)
-    bumped_x = PolyIdeal(base_x.ring, bumped.groebner() + (x_rep,))
-    return same_series((base_x, bumped), (bumped_x, rhs))
+def _fc1_colon(cache, ann, x_rep, slot, exps):
+    """B : x == C on any input, as B : x contained in C."""
+    bumped, rhs = _fc1_sides(cache, ann, slot, exps)
+    return rhs.contains_ideal(bumped.colon(x_rep))
 
 
-def _fc_check_on_lift(base, x_rep, gen_lists, slot, window):
-    """Run FC2 then windowed FC1 for x over the given base lift.
+def _fc_check_on_lift(base, x, gen_lists, slot, window):
+    """FC2 and windowed FC1 for the element x over the given base lift.
 
-    x must lie in its slot ideal modulo base.  FC1 compares Hilbert series
-    when base, x and every generator are homogeneous, and intersects by
-    elimination otherwise.
+    x must lie in its slot ideal modulo base.  With ann = base : x, FC2 is
+    ann contained in sat, the saturation of base by the product of the ideals.
+    At a window tuple n, with K_n the product (base included), B = K_(n+e_slot)
+    and A = base + x, FC1 asks A cap B = base + x K_n.  It holds exactly when
+    B : x = C, where C = K_n + ann:
+    - f = b + x r in B with b in base (so in B) has x r in B: A cap B = base + x (B : x).
+    - x r lies in base + x K_n exactly when r lies in K_n + ann.
+    - C lies in B : x: x lies in its slot ideal, so x K_n lies in B; x ann lies in base.
+    On homogeneous input, multiplication by x gives the exact sequence
+    0 -> R/(B : x)(-deg x) -> R/B -> R/(B + x) -> 0, so
+    HS(R/B) = t^deg(x) HS(R/(B : x)) + HS(R/(B + x)); as C lies in B : x, the
+    two are equal exactly when HS(R/B) = HS(R/(B + x)) + t^deg(x) HS(R/C).
+    Other input checks B : x contained in C by a colon.  When ann lies in K_n
+    (always, if x is a nonzerodivisor modulo base), C is the cached K_n.
     """
     ring = base.ring
     cache = _ProductCache(ring, base.gens, gen_lists)
@@ -268,28 +269,29 @@ def _fc_check_on_lift(base, x_rep, gen_lists, slot, window):
     sat = base.saturate(PolyIdeal(ring, cache.ideal(all_ones).groebner()))
     if sat.is_unit():
         raise ValueError("product of the ideals is nilpotent modulo the base")
-    fc2_ok, fc2_wit = _fc2_filter_regular(base, x_rep, sat)
+    ann = base.colon(x.rep)
+    fc2_wit = next((repr(g) for g in ann.groebner() if not sat.contains(g)), None)
     homogeneous = (
         base.is_homogeneous()
-        and x_rep.is_homogeneous()
+        and x.rep.is_homogeneous()
         and all(g.is_homogeneous() for gl in gen_lists for g in gl)
     )
-    fc1 = _fc1_series if homogeneous else _fc1_intersection
-    base_x = PolyIdeal(ring, base.gens + (x_rep,))
-    fc1_ok, counter = True, None
+    fc1 = _fc1_series if homogeneous else _fc1_colon
+    counter = None
     for exps in window.tuples(len(gen_lists), slot):
-        if not fc1(cache, base_x, x_rep, slot, exps):
-            fc1_ok, counter = False, tuple(exps)
+        if not fc1(cache, ann, x.rep, slot, exps):
+            counter = tuple(exps)
             break
-    return fc1_ok, counter, fc2_ok, fc2_wit
+    return FcReport(slot, x.order, counter is None, fc2_wit is None, window, counter, fc2_wit)
 
 
 def fc_check_element(x, ideals, slot, window=None):
     """FC checks for x in ideals[slot] relative to the whole ideal tuple.
 
     FC2 (filter-regularity) is exact; FC1 (the intersection identity) is
-    verified over the finite exponent window, from Hilbert series of sums on
-    homogeneous input and by elimination otherwise, with the same verdicts.
+    verified over the finite exponent window as B : x = K_n + (base : x),
+    from Hilbert series on homogeneous input and by a colon otherwise, with
+    the same verdicts (see _fc_check_on_lift).
     """
     if window is None:
         window = FcWindow()
@@ -307,10 +309,7 @@ def fc_check_element(x, ideals, slot, window=None):
         raise ValueError("element lies in m * (slot ideal)")
     base = PolyIdeal(algebra.ring, algebra.defining.groebner())
     gen_lists = [[g.rep for g in ideal.gens] for ideal in ideals]
-    fc1_ok, counter, fc2_ok, fc2_wit = _fc_check_on_lift(
-        base, x.rep, gen_lists, slot, window
-    )
-    return FcReport(slot, x.order, fc1_ok, fc2_ok, window, counter, fc2_wit)
+    return _fc_check_on_lift(base, x, gen_lists, slot, window)
 
 
 @dataclass
@@ -321,9 +320,7 @@ class FcSequence:
     attempt: int
 
 
-def build_fc_sequence(
-    J, I, seed=0, retries=DEFAULT_RETRIES, window=None, n_max=DEFAULT_N_MAX
-):
+def build_fc_sequence(J, I, seed=0, retries=DEFAULT_RETRIES, window=None):
     """Triangular recombinations of the minimal basis of J passing FC checks.
 
     Element i is checked in the quotient by its predecessors against the tuple
@@ -333,7 +330,7 @@ def build_fc_sequence(
     if window is None:
         window = FcWindow()
     algebra = J.algebra
-    cert = is_reduction(J, I, n_max=n_max)
+    cert = is_reduction(J, I)
     if not cert.ok:
         raise ValueError("J must be a verified reduction of I")
     basis = sorted(
@@ -379,13 +376,10 @@ def build_fc_sequence(
                 failed = True
                 break
             try:
-                fc1_ok, counter, fc2_ok, fc2_wit = _fc_check_on_lift(
-                    base, x.rep, gen_lists, 0, window
-                )
+                rep = _fc_check_on_lift(base, x, gen_lists, 0, window)
             except ValueError:
                 failed = True
                 break
-            rep = FcReport(0, x.order, fc1_ok, fc2_ok, window, counter, fc2_wit)
             reports.append(rep)
             if not rep.ok:
                 failed = True

@@ -311,13 +311,16 @@ def _cmd_mixed(session, command):
         fast = {}
         failures = []
         comparisons = []
+        degseq = None
         for i in range(d):
             res = _capture(
                 failures, fast, witnesses, f"fastpath[{i}]",
-                mixed_fastpath, ideal, i=i, seed=seed,
+                mixed_fastpath, ideal, degseq=degseq, i=i, seed=seed,
             )
             if res is None:
                 break
+            # one minimal reduction serves every type index
+            degseq = degseq or res.witness.get("degree_sequence")
             fast[str(i)] = res.value
             if table.q == d:
                 comparisons.append(res.value == table.entry_for_type(i))

@@ -103,3 +103,27 @@ def test_fastpath_refusal_lands_in_its_slot(op, mode):
     else:
         assert "agree" not in rep
         assert rc == alone_rc
+
+
+def test_mixed_both_finds_one_minimal_reduction(monkeypatch):
+    # every type index reads the degree sequence of the first fast path's
+    # reduction, so the search runs once, not once per index
+    from gradmult import mixed_rees
+
+    calls = []
+    search = mixed_rees.find_minimal_reduction
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(mixed_rees, "find_minimal_reduction", counted)
+    rep, rc = run_one(
+        "ring S vars [x,y,z] field fp(32003) relations [];\n"
+        "ideal I = [x^2, y^2, z^2, x*y, y*z];\n"
+        "cmd mixed I mode=both;\n"
+    )
+    assert rc == 0
+    assert rep["values"]["fastpath"] == {"0": 1, "1": 2, "2": 4}
+    assert rep["agree"] is True
+    assert len(calls) == 1

@@ -137,8 +137,8 @@ def test_fc_check_element_saturates_once(hyper, monkeypatch):
 
 
 def test_fc_check_element_homogeneous_fc1_intersects_nothing(hyper, monkeypatch):
-    # on homogeneous input FC1 compares Hilbert series of sums, so every
-    # intersection left belongs to a colon: FC2's and the saturation's
+    # on homogeneous input FC1 compares Hilbert series, so every intersection
+    # left belongs to a colon: the annihilator base : x and the saturation
     inside_colon = [0]
     outside = []
     colon, intersect = PolyIdeal.colon, PolyIdeal.intersect
