@@ -1,24 +1,26 @@
 """Initial ideals, degree sequences, and transfer checks between I and in(I).
 
 in(I) is the ideal generated by the initial forms of the elements of I that
-lie outside mI.  It is computed from that definition: the order-n initial
-forms coming from I make up the degree-n piece of the tangent cone of I at
-the origin, the scan stops at the first n with I meet m^n inside mI (such an
-n exists by Artin-Rees), and in(I) is generated by the cone's pieces below
-that n, all read off one standard basis of I + m^n.  A minimal basis of I is
-then rewritten until its initial forms generate the computed ideal, so the
-degree sequence can be read off as the sorted orders of the rewritten basis.
+lie outside mI.  Two tangent cones at the origin, of I and of mI, settle
+both it and the degree sequence.  The difference of their Hilbert series is
+a polynomial whose degree-n coefficient counts the order-n members of every
+adjusted minimal basis (one whose initial forms generate in(I)), and whose
+length is the Artin-Rees stop, the first n with I meet m^n inside mI; in(I)
+is generated by the pieces of the cone of I below the stop.  A minimal basis
+of I is rewritten until its initial forms generate that ideal, and the
+degree sequence, the sorted orders of the rewritten basis, must match the
+counts.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .algebra import AlgIdeal, minimal_basis
-from .errors import Inconclusive
 from .groebner import INFINITE, PolyIdeal
+from .hilbert import series_difference
 from .linalg import solve
 from .polynomials import Polynomial
 
-_STOP_LIMIT = 64
 _ADJUST_LIMIT = 64
 
 
@@ -26,37 +28,67 @@ def _standard_of_degree(algebra, n):
     return [m for m in algebra.standard_monomials_up_to(n) if sum(m) == n]
 
 
-def _stop_degree(ideal, shrunk):
-    """First n with I meet m^n contained in mI."""
-    algebra = ideal.algebra
-    for n in range(1, _STOP_LIMIT + 1):
-        met = ideal.lift.intersect(algebra.irrelevant_power(n).lift)
-        if shrunk.lift.contains_ideal(met):
-            return n
-    raise Inconclusive("no Artin-Rees stop below the scan limit", scan_limit=_STOP_LIMIT)
+def _order_counts(ideal):
+    """[c_0, c_1, ...]: c_n is the number of order-n members of any adjusted
+    minimal basis of I, and the Artin-Rees stop is the length of the list.
+
+    The c_n are the coefficients of the polynomial
+    HS(R/cone(P + mI)) - HS(R/cone(P + I)), the difference of the two
+    numerators over (1-t)^n divided by (1-t)^n.  Proof.  Let
+    F_n = (I meet m^n + mI)/mI.  I/mI is killed by m, so it and its
+    subspaces F_n equal their localisations at the origin: the global and
+    the local readings agree.  The degree-n pieces of the two cones are the
+    images of I meet m^n and of mI meet m^n in m^n/m^(n+1).  The maps from
+    I meet m^n onto the quotient of those pieces and onto F_n/F_(n+1) have
+    one kernel, I meet m^(n+1) + mI meet m^n, so c_n = dim F_n - dim F_(n+1).
+    Each F_n lies in I/mI, which has finite dimension, and F_n = 0 for large
+    n by Artin-Rees (the lemma behind Krull's theorem on powers of m).  So
+    dim F_n is the finite sum of the c_k over k >= n, and the first n with
+    F_n = 0, the stop, is the length of the list, c_(stop-1) being nonzero.
+    An adjusted basis maps onto a basis of I/mI, and its members of order
+    >= n lie in F_n; they span it.  Take f in I meet m^n outside mI, of order
+    e >= n.  As in(f) lies in in(I), in(f) = sum h_i in(b_i) with h_i
+    homogeneous of degree e - ord(b_i), and f - sum h_i b_i lies in
+    I meet m^(e+1).  Cofactors of members of order below e lie in m, so their
+    terms lie in mI; the others are constants on members of order e.  The
+    remainder's order rises with each such step, and from the stop on it lies
+    in mI.  So the members of order >= n are a basis of F_n, and c_n of them
+    have order n.
+    """
+    if ideal.is_zero() or not ideal.is_proper():
+        raise ValueError("order counts of the zero or unit ideal")
+    # the cone of I comes first: it builds the reduced basis of I, which then
+    # stands in for the longer generating set in the product with m
+    cone = ideal.lift.tangent_cone()
+    shrunk = ideal.times(ideal.algebra.irrelevant_ideal()).lift.tangent_cone()
+    counts = series_difference(((shrunk, 0),), ((cone, 0),))
+    for _ in range(ideal.algebra.ring.n):
+        # division by 1 - t: the prefix sums, the last of which must vanish
+        counts = list(accumulate(counts))
+        if counts and counts.pop():
+            raise ArithmeticError("the cones of I and mI differ in infinitely many degrees")
+    return counts
 
 
 def _initial_generators(ideal, stop):
     """Homogeneous generators of in(I): the tangent cone of I below degree stop.
 
-    Adding m^stop leaves the cone unchanged below stop and keeps its standard
-    basis at the origin.  No initial form from outside mI has degree stop or
-    more, since I meet m^stop lies in mI.  Below stop - 1 every nonzero member
-    of a degree-n piece is one: add a member of I meet m^(n+1) outside mI to
-    its preimage.  At stop - 1 the members outside the piece of the cone of
-    mI are initial forms from outside mI, and they span the piece because
-    the mI piece is proper: some f in I meet m^(stop-1) lies outside mI, has
+    The cone is the one _order_counts built, read again from the memo.
+    No initial form from outside mI has degree stop or more, since
+    I meet m^stop lies in mI.  Below stop - 1 every nonzero member of a
+    degree-n piece is one: add a member of I meet m^(n+1) outside mI to its
+    preimage.  At stop - 1 the members outside the piece of the cone of mI
+    are initial forms from outside mI, and they span the piece because the
+    mI piece is proper: some f in I meet m^(stop-1) lies outside mI, has
     order stop - 1, and in(f) = in(g) with g in mI would put f - g in
-    I meet m^stop, so f in mI.  Hence the generators are the reduced-basis
-    members of degree 1 to stop - 1 that are nonzero mod P; stop = 1 happens
-    only for an ideal that is the unit ideal at the origin, which has none.
+    I meet m^stop, so f in mI.  A homogeneous ideal's reduced-basis members
+    of degree below stop depend only on its pieces below stop, so the
+    generators are the cone's reduced-basis members of degree 1 to stop - 1
+    that are nonzero mod P; stop = 1 happens only for an ideal that is the
+    unit ideal at the origin, which has none.
     """
-    algebra = ideal.algebra
-    top = algebra.irrelevant_power(stop).lift.gens
-    # the reduced basis, not the given generators, is homogenised, so every
-    # generating set of one ideal shares one Lazard basis in the memo
-    cone = PolyIdeal(algebra.ring, ideal.lift.groebner() + top).tangent_cone()
-    P = algebra.defining
+    cone = ideal.lift.tangent_cone()
+    P = ideal.algebra.defining
     out = [g for g in cone.groebner() if 0 < g.degree() < stop and not P.contains(g)]
     if not out:
         raise ArithmeticError("empty initial ideal for a nonzero ideal")
@@ -97,57 +129,50 @@ def initial_ideal(ideal):
 
     A graded ideal keeps its homogeneous minimal basis and in(I) = I.  In
     general the basis is rewritten until no initial form lies in the ideal of
-    the other initial forms, and the result is certified against the
-    tangent-cone computation of in(I); both directions of that comparison are
-    exact membership tests, and failure raises rather than returning a wrong
-    ideal.
+    the other initial forms, and the ideal of the result must equal the
+    tangent-cone computation of in(I), an exact comparison of reduced bases.
+    Either way the sorted orders of the basis must equal the counts of
+    _order_counts.  Failure raises rather than returning a wrong ideal.
     """
     algebra = ideal.algebra
+    counts = _order_counts(ideal)
     basis = minimal_basis(ideal)
-    if ideal.is_homogeneous():
-        # a homogeneous ideal has a homogeneous minimal basis, equal to its
-        # own initial forms
-        return AlgIdeal(algebra, [b.initial_form for b in basis]), basis
-    shrunk = ideal.times(algebra.irrelevant_ideal())
-    stop = _stop_degree(ideal, shrunk)
-    wanted = _initial_generators(ideal, stop)
-    ring = algebra.ring
-    P = algebra.defining
-    steps = 0
-    while True:
-        hit = None
-        scan = sorted(range(len(basis)), key=lambda t: (basis[t].order, t))
-        for j in reversed(scan):
-            eligible = [
-                i
-                for i in range(len(basis))
-                if i != j and basis[i].order <= basis[j].order
-            ]
-            if not eligible:
-                continue
-            span = AlgIdeal(algebra, [basis[i].initial_form for i in eligible])
-            if span.lift.contains(basis[j].initial_form.rep):
-                hit = (j, eligible)
+    # a homogeneous ideal has a homogeneous minimal basis, equal to its own
+    # initial forms
+    if not ideal.is_homogeneous():
+        wanted = _initial_generators(ideal, len(counts))
+        steps = 0
+        while True:
+            hit = None
+            scan = sorted(range(len(basis)), key=lambda t: (basis[t].order, t))
+            for j in reversed(scan):
+                eligible = [
+                    i
+                    for i in range(len(basis))
+                    if i != j and basis[i].order <= basis[j].order
+                ]
+                if not eligible:
+                    continue
+                span = AlgIdeal(algebra, [basis[i].initial_form for i in eligible])
+                if span.lift.contains(basis[j].initial_form.rep):
+                    hit = (j, eligible)
+                    break
+            if hit is None:
                 break
-        if hit is None:
-            break
-        j, eligible = hit
-        replacement = _absorbed_rewrite(algebra, basis, j, eligible)
-        if replacement.is_zero() or replacement.order <= basis[j].order:
-            raise ArithmeticError("absorption failed to raise the order")
-        basis[j] = replacement
-        steps += 1
-        if steps > _ADJUST_LIMIT * len(basis):
-            raise ArithmeticError("initial-form adjustment failed to settle")
-    init = AlgIdeal(algebra, [b.initial_form for b in basis])
-    for p in wanted:
-        if not init.lift.contains(p):
+            j, eligible = hit
+            replacement = _absorbed_rewrite(algebra, basis, j, eligible)
+            if replacement.is_zero() or replacement.order <= basis[j].order:
+                raise ArithmeticError("absorption failed to raise the order")
+            basis[j] = replacement
+            steps += 1
+            if steps > _ADJUST_LIMIT * len(basis):
+                raise ArithmeticError("initial-form adjustment failed to settle")
+        init = AlgIdeal(algebra, [b.initial_form for b in basis]).lift
+        if not init.equals(PolyIdeal(algebra.ring, algebra.defining.groebner() + tuple(wanted))):
             raise ArithmeticError("rewritten initial forms fail to generate in(I)")
-    wanted_lift = PolyIdeal(ring, P.groebner() + tuple(wanted))
-    for b in basis:
-        if not wanted_lift.contains(b.initial_form.rep):
-            raise ArithmeticError("basis initial form escaped in(I)")
-    return init, basis
+    if sorted(b.order for b in basis) != [n for n, c in enumerate(counts) for _ in range(c)]:
+        raise ArithmeticError("adjusted-basis orders differ from the tangent-cone counts")
+    return AlgIdeal(algebra, [b.initial_form for b in basis]), basis
 
 
 def degree_sequence(ideal):

@@ -184,9 +184,9 @@ def _series_numerator(ideal):
     return out
 
 
-def same_series(left, right):
-    """True when the sum of t^k HS(ring/I) over the pairs (I, k) in left
-    equals that sum over right.
+def series_difference(left, right):
+    """Numerator over (1-t)^n of the sum of t^k HS(ring/I) over the pairs
+    (I, k) in left, minus that sum over right, as a trimmed list.
 
     All ideals are homogeneous ideals of one ring, so each series is that of
     the leading ideal (Macaulay); unit ideals count as zero.
@@ -196,4 +196,9 @@ def same_series(left, right):
         total = _poly_add(total, _poly_shift(_series_numerator(ideal), k))
     for ideal, k in right:
         total = _poly_add(total, [-v for v in _poly_shift(_series_numerator(ideal), k)])
-    return not total
+    return total
+
+
+def same_series(left, right):
+    """True when the two sums of series_difference are equal."""
+    return not series_difference(left, right)

@@ -203,11 +203,11 @@ def _cmd_order(session, command):
 
 def _cmd_degseq(session, command):
     ideal = _need(session.ideals, "ideal", command)
-    seq = degree_sequence(ideal)
-    inI, _ = initial_ideal(ideal)
+    inI, adjusted = initial_ideal(ideal)
+    seq = sorted(a.order for a in adjusted)
     mu_in = len(minimal_basis(inI))
     values = {
-        "degree_sequence": list(seq),
+        "degree_sequence": seq,
         "minimal_generators": len(seq),
         "initial_minimal_generators": mu_in,
     }
@@ -220,7 +220,7 @@ def _cmd_initial_ideal(session, command):
     values = {
         "generators": [repr(g.rep) for g in inI.gens],
         "adjusted_basis": [repr(a.rep) for a in adjusted],
-        "degree_sequence": list(degree_sequence(ideal)),
+        "degree_sequence": sorted(a.order for a in adjusted),
         "homogeneous": inI.is_homogeneous(),
     }
     return values, {}, {}, None, TAG_INITIAL

@@ -1,11 +1,25 @@
 """The per-degree slices that `degseq._initial_generators` replaced, kept as
 the reference for the generators of in(I): one fresh basis of
-I + m^(n+1) for every degree n below the Artin-Rees stop."""
+I + m^(n+1) for every degree n below the Artin-Rees stop.  Also the scan
+that `degseq._order_counts` replaced, kept as the reference for the stop:
+one intersection I meet m^n for every n up to it."""
 
-from gradmult import PolyIdeal
+from gradmult import Inconclusive, PolyIdeal
 from gradmult.linalg import rref_insert
 from gradmult.monomials import monomials_of_degree
 from gradmult.polynomials import Polynomial
+
+_STOP_LIMIT = 64
+
+
+def _stop_degree(ideal, shrunk):
+    """First n with I meet m^n contained in mI."""
+    algebra = ideal.algebra
+    for n in range(1, _STOP_LIMIT + 1):
+        met = ideal.lift.intersect(algebra.irrelevant_power(n).lift)
+        if shrunk.lift.contains_ideal(met):
+            return n
+    raise Inconclusive("no Artin-Rees stop below the scan limit", scan_limit=_STOP_LIMIT)
 
 
 def degree_slice(algebra, lifted, n):

@@ -1,8 +1,10 @@
 """Generators of in(I) read off one tangent cone against the per-degree slices
-they replaced, and the Artin-Rees stop scan's bound.
+they replaced, and the Artin-Rees stop read off two cones against the
+intersection scan it replaced.
 
 For seeded non-homogeneous ideals over five fields, with and without
-relations, P + the new generators must equal P + the reference slices.
+relations, P + the new generators must equal P + the reference slices, and
+the length of `degseq._order_counts` must equal the scanned stop.
 """
 
 import random
@@ -12,7 +14,6 @@ import pytest
 from gradmult import (
     QQ,
     AlgIdeal,
-    Inconclusive,
     PolyIdeal,
     PrimeField,
     degree_sequence,
@@ -22,7 +23,7 @@ from gradmult import (
 )
 from gradmult import degseq
 from conftest import random_poly
-from reference_slices import degree_slice, reference_initial_generators
+from reference_slices import _stop_degree, degree_slice, reference_initial_generators
 
 FIELDS = [PrimeField(2), PrimeField(3), PrimeField(32003), PrimeField(2147483647), QQ]
 DRAWS = 3
@@ -36,7 +37,8 @@ def relation_sets(ring):
 def assert_generators_match(ideal):
     algebra = ideal.algebra
     shrunk = ideal.times(algebra.irrelevant_ideal())
-    stop = degseq._stop_degree(ideal, shrunk)
+    stop = len(degseq._order_counts(ideal))
+    assert stop == _stop_degree(ideal, shrunk)
     new = degseq._initial_generators(ideal, stop)
     old = reference_initial_generators(ideal, shrunk, stop)
     # the new route keeps the whole degree-(stop - 1) piece: it relies on the
@@ -83,13 +85,10 @@ def test_counterexample_initial_ideal_is_not_the_tangent_cone(nondomain):
     assert_generators_match(I)
 
 
-def test_exhausted_stop_scan_is_inconclusive(monkeypatch):
-    # (x + y^2, y^8) has degree sequence (1, 8); its Artin-Rees stop lies
-    # past a scan limit of 5
+def test_stop_far_past_the_first_orders():
+    # (x + y^2, y^8) has degree sequence (1, 8), so its Artin-Rees stop is 9
     S = make_algebra(poly_ring(("x", "y"), QQ))
     x, y = S.gens()
     I = AlgIdeal(S, [x + y * y, y**8])
-    monkeypatch.setattr(degseq, "_STOP_LIMIT", 5)
-    with pytest.raises(Inconclusive) as info:
-        degree_sequence(I)
-    assert info.value.payload()["scan_limit"] == 5
+    assert len(degseq._order_counts(I)) == 9
+    assert degree_sequence(I) == (1, 8)
