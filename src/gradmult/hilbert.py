@@ -8,6 +8,12 @@ N(I) = N(I + p^k) + t^k * N(I : p^k), where k is the lower median of the
 positive exponents of p.  Two closed forms end the recursion: generators
 with pairwise-coprime supports (a complete intersection), and generators in
 at most two variables, whose staircase resolution is read off directly.
+
+The same recursion with vector degrees gives the multigraded numerator of a
+monomial ideal over prod_i (1 - z^deg v_i) (multigraded_numerator).
+BlockSeries reads off it, for k[x, T]/(leads) with T in weighted blocks, the
+series in one variable t at one block multidegree, over (1 - t)^n,
+counting only the monomials of x-degree at least c.
 """
 
 import functools
@@ -199,6 +205,173 @@ def series_difference(left, right):
     return total
 
 
-def same_series(left, right):
-    """True when the two sums of series_difference are equal."""
-    return not series_difference(left, right)
+# -- multigraded series ------------------------------------------------------
+
+
+def _mono_degree(m, degrees):
+    """The vector degree of the monomial m, degrees[i] being that of variable i."""
+    out = [0] * len(degrees[0])
+    for i, e in enumerate(m):
+        if e:
+            for j, d in enumerate(degrees[i]):
+                out[j] += e * d
+    return tuple(out)
+
+
+def _mpoly_add(acc, poly, shift=None):
+    """acc += z^shift * poly for polynomials {degree vector: coefficient}."""
+    for d, c in poly.items():
+        if shift is not None:
+            d = tuple(x + y for x, y in zip(d, shift))
+        v = acc.get(d, 0) + c
+        if v:
+            acc[d] = v
+        else:
+            acc.pop(d, None)
+    return acc
+
+
+def multigraded_numerator(gens, degrees):
+    """Numerator of the multigraded Hilbert series of k[v_1..v_N]/(gens).
+
+    gens are the minimal generators of a monomial ideal and degrees[i] is the
+    nonnegative degree vector of v_i, all of one length r.  The series is the
+    returned numerator, {degree vector: nonzero coefficient}, over
+    prod_i (1 - z^degrees[i]).  It is _numerator with vector degrees: the
+    pivot N(I) = N(I + p^k) + z^(k deg p) N(I : p^k) and both closed forms
+    hold for any grading by monomials, their exact sequences and resolutions
+    being multigraded.
+    """
+    zero = (0,) * len(degrees[0])
+    if not gens:
+        return {zero: 1}
+    n = len(gens[0])
+    counts = [0] * n
+    for m in gens:
+        for i, e in enumerate(m):
+            if e:
+                counts[i] += 1
+    top = max(counts)
+    if top <= 1:
+        out = {zero: 1}
+        for m in gens:
+            out = _mpoly_add(dict(out), {d: -c for d, c in out.items()}, _mono_degree(m, degrees))
+        return out
+    support = [i for i, c in enumerate(counts) if c]
+    if len(support) <= 2:
+        a = support[0]
+        gens = sorted(gens, key=lambda m: m[a])
+        out = {zero: 1}
+        for g in gens:
+            _mpoly_add(out, {_mono_degree(g, degrees): -1})
+        for g, h in zip(gens, gens[1:]):
+            lcm = tuple(x if x > y else y for x, y in zip(g, h))
+            _mpoly_add(out, {_mono_degree(lcm, degrees): 1})
+        return out
+    p = counts.index(top)
+    exps = sorted(m[p] for m in gens if m[p])
+    k = exps[(len(exps) - 1) // 2]
+    plus_gens = [m for m in gens if m[p] < k]
+    plus_gens.append(tuple(k if i == p else 0 for i in range(n)))
+    colon_gens = minimal_monomials(
+        m[:p] + (max(m[p] - k, 0),) + m[p + 1:] for m in gens
+    )
+    shift = tuple(k * d for d in degrees[p])
+    return _mpoly_add(
+        multigraded_numerator(plus_gens, degrees),
+        multigraded_numerator(colon_gens, degrees),
+        shift,
+    )
+
+
+class BlockSeries:
+    """Series of k[x, T]/(leads) at one block multidegree, from one
+    multigraded numerator.
+
+    The first n variables are the x's, of degree (1, 0, 0..0) in
+    (x-degree, weight, block degrees).  Then come the blocks in order: a
+    variable of weight w in block k has degree (0, w, e_k).  The numerator
+    terms are grouped by block degree once, and the (x-degree, weight)
+    numerator at a block degree is built once, when first asked for.
+    """
+
+    def __init__(self, leads, n, blocks):
+        self.leads = tuple(sorted(leads))
+        self.n = n
+        self.blocks = tuple(tuple(ws) for ws in blocks)
+        r = len(self.blocks)
+        degrees = [(1, 0) + (0,) * r] * n
+        for k, ws in enumerate(self.blocks):
+            unit = tuple(int(j == k) for j in range(r))
+            degrees.extend((0, w) + unit for w in ws)
+        self._terms = {}
+        for d, c in multigraded_numerator(self.leads, degrees).items():
+            self._terms.setdefault(d[2:], []).append((d[0], d[1], c))
+        self._grids = {}
+
+    def _block_weights(self, k, d):
+        """{weight: count} of the degree-d monomials in block k's variables."""
+        table = [{0: 1}] + [{} for _ in range(d)]
+        for w in self.blocks[k]:
+            # a monomial of degree e misses this variable or is it times one of degree e - 1
+            for e in range(1, d + 1):
+                row = table[e]
+                for v, c in table[e - 1].items():
+                    row[v + w] = row.get(v + w, 0) + c
+        return table[d]
+
+    def _grid(self, b):
+        """{(x-degree, weight): coefficient}: the numerator over (1 - z)^n, z
+        marking x-degree, of the (x-degree, weight) series at block degree b.
+
+        The block variables of degree b - b0 are finitely many, so each
+        numerator term of block degree b0 <= b contributes its coefficient
+        times their weights; only the x's stay in the denominator.
+        """
+        b = tuple(b)
+        if b not in self._grids:
+            grid = {}
+            for b0, terms in self._terms.items():
+                gap = [u - v for u, v in zip(b, b0)]
+                if any(g < 0 for g in gap):
+                    continue
+                weights = {0: 1}
+                for k, d in enumerate(gap):
+                    if d:
+                        prod = {}
+                        for v, c1 in weights.items():
+                            for u, c2 in self._block_weights(k, d).items():
+                                prod[v + u] = prod.get(v + u, 0) + c1 * c2
+                        weights = prod
+                for a0, w0, c in terms:
+                    for w, count in weights.items():
+                        key = (a0, w0 + w)
+                        grid[key] = grid.get(key, 0) + c * count
+            self._grids[b] = {key: v for key, v in grid.items() if v}
+        return self._grids[b]
+
+    def slice(self, b, c=0):
+        """Numerator over (1 - t)^n of sum_t h_t t^t, where h_t counts the
+        standard monomials of block degree b, x-degree at least c and
+        x-degree plus weight t, as a trimmed list.
+
+        It is the whole series less the polynomial of the x-degrees below c:
+        a term q z^a0 u^w of the grid counts binom(a - a0 + n - 1, n - 1)
+        monomials of x-degree a and weight w for every a >= a0.
+        """
+        n = self.n
+        grid = self._grid(b)
+        num = [0] * (max((a + w for a, w in grid), default=-1) + 1)
+        for (a, w), v in grid.items():
+            num[a + w] += v
+        low = {}
+        for (a0, w), v in grid.items():
+            for a in range(a0, c):
+                low[a + w] = low.get(a + w, 0) + v * math.comb(a - a0 + n - 1, n - 1)
+        if low:
+            below = [0] * (max(low) + 1)
+            for e, v in low.items():
+                below[e] = v
+            one_minus_t_n = [(-1) ** i * math.comb(n, i) for i in range(n + 1)]
+            num = _poly_add(num, [-v for v in _poly_mul(below, one_minus_t_n)])
+        return _poly_trim(num)

@@ -1,5 +1,7 @@
 """Monomials as bare exponent tuples, plus the global orders the kernel supports."""
 
+from operator import mul
+
 
 def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
@@ -55,29 +57,88 @@ def monomials_up_to(n, cap):
     return out
 
 
+def _degrevlex_key(m):
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def _block_key(block, rest):
+    def key(m):
+        hi = tuple(m[i] for i in block)
+        lo = tuple(m[i] for i in rest)
+        return (
+            sum(hi),
+            tuple(-e for e in reversed(hi)),
+            sum(lo),
+            tuple(-e for e in reversed(lo)),
+        )
+
+    return key
+
+
+def _weight_key(block, rest, weights):
+    if not block:
+        def key(m):
+            return (sum(map(mul, m, weights)), sum(m), tuple(-e for e in reversed(m)))
+
+        return key
+
+    def key(m):
+        hi = tuple(m[i] for i in block)
+        lo = tuple(m[i] for i in rest)
+        # the block carries no weight, so the dot product is that of lo
+        return (
+            sum(hi),
+            tuple(-e for e in reversed(hi)),
+            sum(map(mul, m, weights)),
+            sum(lo),
+            tuple(-e for e in reversed(lo)),
+        )
+
+    return key
+
+
 class MonomialOrder:
-    """Global monomial order: degrevlex or a two-block elimination order.
+    """Global monomial order: degrevlex, a two-block elimination order, or a
+    weight order.
 
     Keys are tuples that compare the same way the order does, so sorting and
-    max() work directly.  Block orders put the eliminated variables first and
-    use degrevlex inside each block.
+    max() work directly; key is chosen once, when the order is made.  Block
+    orders put the eliminated variables first and use degrevlex inside each
+    block.  A weight order compares the dot product with nonnegative integer
+    weights first and breaks ties by degrevlex; with an eliminated block (of
+    weight zero) it compares that block first, by degrevlex, and then the
+    other variables by the weight order.
     """
 
-    __slots__ = ("kind", "n", "block", "_rest")
+    __slots__ = ("kind", "n", "block", "weights", "key")
 
-    def __init__(self, kind, n, block=()):
-        if kind not in ("degrevlex", "block"):
+    def __init__(self, kind, n, block=(), weights=()):
+        if kind not in ("degrevlex", "block", "weight"):
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
         self.n = n
         self.block = tuple(sorted(block))
-        if kind == "block":
-            if not self.block or any(i < 0 or i >= n for i in self.block):
+        self.weights = tuple(weights)
+        if any(i < 0 or i >= n for i in self.block):
+            raise ValueError("elimination block must be a subset of the variables")
+        inblock = set(self.block)
+        rest = tuple(i for i in range(n) if i not in inblock)
+        if kind == "degrevlex":
+            if self.block or self.weights:
+                raise ValueError("degrevlex takes no block and no weights")
+            self.key = _degrevlex_key
+        elif kind == "block":
+            if not self.block or self.weights:
                 raise ValueError("elimination block must be a nonempty subset of the variables")
-            inblock = set(self.block)
-            self._rest = tuple(i for i in range(n) if i not in inblock)
+            self.key = _block_key(self.block, rest)
         else:
-            self._rest = ()
+            if len(self.weights) != n or any(
+                not isinstance(w, int) or w < 0 for w in self.weights
+            ):
+                raise ValueError("weights must be n nonnegative integers")
+            if any(self.weights[i] for i in self.block):
+                raise ValueError("eliminated variables carry no weight")
+            self.key = _weight_key(self.block, rest, self.weights)
 
     @classmethod
     def degrevlex(cls, n):
@@ -87,17 +148,9 @@ class MonomialOrder:
     def elimination(cls, n, block):
         return cls("block", n, block)
 
-    def key(self, m):
-        if self.kind == "degrevlex":
-            return (sum(m), tuple(-e for e in reversed(m)))
-        hi = tuple(m[i] for i in self.block)
-        lo = tuple(m[i] for i in self._rest)
-        return (
-            sum(hi),
-            tuple(-e for e in reversed(hi)),
-            sum(lo),
-            tuple(-e for e in reversed(lo)),
-        )
+    @classmethod
+    def weighted(cls, n, weights, block=()):
+        return cls("weight", n, block, weights)
 
     def __eq__(self, other):
         return (
@@ -105,12 +158,15 @@ class MonomialOrder:
             and other.kind == self.kind
             and other.n == self.n
             and other.block == self.block
+            and other.weights == self.weights
         )
 
     def __hash__(self):
-        return hash((self.kind, self.n, self.block))
+        return hash((self.kind, self.n, self.block, self.weights))
 
     def __repr__(self):
         if self.kind == "block":
             return f"block(n={self.n}, elim={self.block})"
+        if self.kind == "weight":
+            return f"weight(n={self.n}, w={self.weights}, elim={self.block})"
         return f"{self.kind}(n={self.n})"

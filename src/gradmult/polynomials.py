@@ -71,7 +71,9 @@ class PolyRing:
         return PolyRing(self.names + tuple(extra_names), self.field, order)
 
     def key(self):
-        return (self.names, repr(self.field), self.order.kind, self.order.block)
+        return (
+            self.names, repr(self.field), self.order.kind, self.order.block, self.order.weights
+        )
 
     def __eq__(self, other):
         return other is self or (

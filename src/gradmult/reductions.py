@@ -3,9 +3,13 @@
 Reduction certification is the bounded power test I^{n+1} = J I^n.  FC checks
 run inside quotients by earlier sequence members; those quotients are handled
 entirely on polynomial lifts, so nothing here needs the quotient to be graded.
-FC1 is checked as B : x = K_n + (base : x), one annihilator base : x per
-element serving FC1 and FC2: by Hilbert series when the lift, the element and
-every ideal are homogeneous, and by a colon otherwise.
+When the lift, the element x and every ideal are homogeneous, FC1 is decided
+for every window tuple from two multi-Rees presentations per element,
+S[I_k t_k, x u] and (S/x)[I_k t_k] with S the quotient by the lift: the
+products K_n and x K_n and the image of K_n mod x are graded pieces of these
+algebras, counted as standard monomials in a weight order, so no basis is
+built per tuple.  Other input checks FC1 as B : x = K_n + (base : x) by a
+colon; the one annihilator base : x per element also decides FC2.
 """
 
 import itertools
@@ -14,8 +18,10 @@ from dataclasses import dataclass
 
 from .algebra import AlgIdeal, minimal_basis
 from .errors import SearchExhausted
-from .groebner import PolyIdeal
-from .hilbert import same_series
+from .groebner import PolyIdeal, _fresh_name, buchberger
+from .hilbert import BlockSeries, _poly_add
+from .monomials import MonomialOrder
+from .polynomials import PolyRing, map_vars
 
 DEFAULT_N_MAX = 8
 DEFAULT_RETRIES = 32
@@ -232,17 +238,96 @@ def _fc1_sides(cache, ann, slot, exps):
     return cache.ideal(bumped), prod
 
 
-def _fc1_series(cache, ann, x_rep, slot, exps):
-    """B : x == C on homogeneous input: HS(R/B) = HS(R/(B + x)) + t^deg(x) HS(R/C)."""
-    bumped, rhs = _fc1_sides(cache, ann, slot, exps)
-    bumped_x = PolyIdeal(cache.ring, bumped.groebner() + (x_rep,))
-    return same_series(((bumped, 0),), ((bumped_x, 0), (rhs, x_rep.degree())))
-
-
 def _fc1_colon(cache, ann, x_rep, slot, exps):
     """B : x == C on any input, as B : x contained in C."""
     bumped, rhs = _fc1_sides(cache, ann, slot, exps)
     return rhs.contains_ideal(bumped.colon(x_rep))
+
+
+def _rees_series(base, blocks):
+    """BlockSeries of the multi-Rees algebra (R/base)[I_1 t_1, .., I_r t_r].
+
+    blocks[k] lists the nonzero homogeneous generators g_kj of I_k.  The
+    presentation k[x, T]/L, T_kj -> g_kj t_k, is built one block at a time:
+    with L' presenting A = (R/base)[I_1 t_1, .., I_(k-1) t_(k-1)], the
+    algebra A[I_k t_k] inside A[t_k] is presented by
+    (L' + (T_kj - g_kj t_k)) cap k[x, T], one basis in an order that
+    eliminates the t's and then compares sum deg(g_kj) beta_kj, refined by
+    degrevlex, on x^alpha T^beta.  Its members free of the t's are a basis
+    of the new L in that weight order.
+    """
+    ring = base.ring
+    n = ring.n
+    names = list(ring.names)
+    taken = set(names)
+
+    def fresh(stem):
+        name = _fresh_name(taken, stem)
+        taken.add(name)
+        names.append(name)
+
+    for k, gens in enumerate(blocks):
+        for j in range(len(gens)):
+            fresh(f"T{k + 1}_{j + 1}")
+    width = len(names)
+    for k in range(len(blocks)):
+        fresh(f"t{k + 1}")
+    weights = [0] * n + [g.degree() for gens in blocks for g in gens] + [0] * len(blocks)
+    order = MonomialOrder.weighted(len(names), weights, range(width, len(names)))
+    ering = PolyRing(names, ring.field, order)
+    pos = tuple(range(n))
+    kernel = buchberger([map_vars(p, ering, pos) for p in base.gens])
+    col = n
+    for k, gens in enumerate(blocks):
+        tk = ering.var(width + k)
+        new = [ering.var(col + j) - map_vars(g, ering, pos) * tk for j, g in enumerate(gens)]
+        col += len(gens)
+        # a lead free of the t's makes the whole member free of them
+        kernel = [g for g in buchberger(list(kernel) + new) if not any(g.leading_monomial()[width:])]
+    leads = [g.leading_monomial()[:width] for g in kernel]
+    return BlockSeries(leads, n, [[g.degree() for g in gens] for gens in blocks])
+
+
+def _m_slots(base, gen_lists):
+    """Indices of the ideals of the tuple that equal m = (x_1..x_n) modulo base."""
+    ring = base.ring
+    out = []
+    for k, gl in enumerate(gen_lists):
+        # homogeneous generators of positive degree (or zero) lie in m
+        if all(g.degree() != 0 for g in gl):
+            ideal = PolyIdeal(ring, base.gens + tuple(gl))
+            if all(ideal.contains(v) for v in ring.gens()):
+                out.append(k)
+    return out
+
+
+class _ReesFc1:
+    """FC1 at every window tuple from two presentations of one element.
+
+    With S = R/base, K_n = prod I_k^n_k and K-bar its image in S/x, FC1 at n
+    holds iff HS(K_(n+e)) - HS(K-bar_(n+e)) = HS(x K_n), each read off
+    standard monomials (see _fc_check_on_lift): K_(n+e) and x K_n off
+    S[I_k t_k, x u], K-bar_(n+e) off (S/x)[I_k t_k].  The ideals equal to m
+    get no block; their exponents add up to the x-degree bound c.  The
+    series of one block degree are built once, whichever tuples ask.
+    """
+
+    def __init__(self, base, x_rep, gen_lists, slot):
+        self.slot = slot
+        self.m = _m_slots(base, gen_lists)
+        self.blocks = [k for k in range(len(gen_lists)) if k not in self.m]
+        gens = [[g for g in gen_lists[k] if g] for k in self.blocks]
+        self.full = _rees_series(base, gens + [[x_rep]])
+        self.bar = _rees_series(PolyIdeal(base.ring, base.gens + (x_rep,)), gens)
+
+    def holds(self, exps):
+        bumped = exps[:self.slot] + (exps[self.slot] + 1,) + exps[self.slot + 1:]
+        b = tuple(bumped[k] for k in self.blocks)
+        c = sum(bumped[k] for k in self.m)
+        right = self.full.slice(
+            tuple(exps[k] for k in self.blocks) + (1,), sum(exps[k] for k in self.m)
+        )
+        return self.full.slice(b + (0,), c) == _poly_add(self.bar.slice(b, c), right)
 
 
 def _fc_check_on_lift(base, x, gen_lists, slot, window):
@@ -251,17 +336,41 @@ def _fc_check_on_lift(base, x, gen_lists, slot, window):
     x must lie in its slot ideal modulo base.  With ann = base : x, FC2 is
     ann contained in sat, the saturation of base by the product of the ideals.
     At a window tuple n, with K_n the product (base included), B = K_(n+e_slot)
-    and A = base + x, FC1 asks A cap B = base + x K_n.  It holds exactly when
-    B : x = C, where C = K_n + ann:
+    and A = base + x, FC1 asks A cap B = base + x K_n.
+
+    On homogeneous input (base, x and every generator), work in S = R/base,
+    where FC1 reads K_(n+e) cap xS = x K_n.  The right side lies in the left
+    (x lies in its slot ideal), and graded pieces are finite-dimensional, so
+    FC1 holds iff both sides have the same dimension in every degree t.  The
+    image K-bar of K in S/x is K/(K cap xS), so that is
+    HS(K_(n+e)) - HS(K-bar_(n+e)) = HS(x K_n).  The three series are read off
+    two presentations per element, with no basis per tuple (_ReesFc1):
+    - R-full = S[I_k t_k, x u] = k[x, T, U]/L, T_kj -> g_kj t_k and U -> x u,
+      graded by the degree t of the image (deg x_i = 1, deg T_kj = deg g_kj,
+      deg U = deg x) and by the block degrees.  Its piece of block degree
+      (n, 0) is K_n t^n.  That of (n, 1) is spanned by the x f t^n u with f
+      in K_n, so it is x K_n as a subset of S, in the degrees of S, whether
+      or not x is a zerodivisor: the U block needs no annihilator.
+    - R-bar = (S/x)[I_k t_k], presented over base + x: its piece of block
+      degree n is K-bar_n.
+    - The m slot.  The ideals equal to m get no block, and c is the sum of
+      their exponents: m^c K is the image of the span F_c of the monomials
+      x^alpha T^beta U^i of x-degree |alpha| >= c (the same in both u-degrees
+      and in R-bar).  L is homogeneous for (t, block degrees), and the order
+      compares the weight t - |alpha| first, so inside one multidegree F_c
+      is a down-set: every monomial below one of F_c lies in F_c.  A member
+      of L lies in F_c iff its lead does, so in(F_c cap L) = F_c cap in(L),
+      and dim (m^c K)_t = dim F_c - dim (F_c cap L) is the number of
+      standard monomials of degree t with x-degree >= c (hilbert.BlockSeries).
+    - Reading x K_n off R-full / x R-full would be wrong with the m slot:
+      its filtration counts m^c K / (m^c K cap xK), and x m^c K may be
+      smaller than m^c K cap xK.  The U block gives x m^c K itself.
+    Other input checks, with C = K_n + ann, B : x = C by a colon:
     - f = b + x r in B with b in base (so in B) has x r in B: A cap B = base + x (B : x).
     - x r lies in base + x K_n exactly when r lies in K_n + ann.
     - C lies in B : x: x lies in its slot ideal, so x K_n lies in B; x ann lies in base.
-    On homogeneous input, multiplication by x gives the exact sequence
-    0 -> R/(B : x)(-deg x) -> R/B -> R/(B + x) -> 0, so
-    HS(R/B) = t^deg(x) HS(R/(B : x)) + HS(R/(B + x)); as C lies in B : x, the
-    two are equal exactly when HS(R/B) = HS(R/(B + x)) + t^deg(x) HS(R/C).
-    Other input checks B : x contained in C by a colon.  When ann lies in K_n
-    (always, if x is a nonzerodivisor modulo base), C is the cached K_n.
+    When ann lies in K_n (always, if x is a nonzerodivisor modulo base), C
+    is the cached K_n.
     """
     ring = base.ring
     cache = _ProductCache(ring, base.gens, gen_lists)
@@ -276,12 +385,12 @@ def _fc_check_on_lift(base, x, gen_lists, slot, window):
         and x.rep.is_homogeneous()
         and all(g.is_homogeneous() for gl in gen_lists for g in gl)
     )
-    fc1 = _fc1_series if homogeneous else _fc1_colon
-    counter = None
-    for exps in window.tuples(len(gen_lists), slot):
-        if not fc1(cache, ann, x.rep, slot, exps):
-            counter = tuple(exps)
-            break
+    if homogeneous:
+        fc1 = _ReesFc1(base, x.rep, gen_lists, slot).holds
+    else:
+        def fc1(exps):
+            return _fc1_colon(cache, ann, x.rep, slot, exps)
+    counter = next((exps for exps in window.tuples(len(gen_lists), slot) if not fc1(exps)), None)
     return FcReport(slot, x.order, counter is None, fc2_wit is None, window, counter, fc2_wit)
 
 

@@ -1,9 +1,29 @@
-"""The FC1 route that `reductions._fc_check_on_lift` replaced, kept as the
-reference: the identity (base + x) cap B = base + x K_n itself, with the
-intersection formed by elimination and the right side built from the
-products of x with a basis of K_n."""
+"""The FC1 routes that `reductions._fc_check_on_lift` replaced, kept as
+references.
+
+- The identity (base + x) cap B = base + x K_n itself, with the
+  intersection formed by elimination and the right side built from the
+  products of x with a basis of K_n.
+- The homogeneous route before the multi-Rees presentations: B : x = C
+  read off three Hilbert numerators per tuple, with B and B + x built as
+  products for every tuple.
+"""
 
 from gradmult import PolyIdeal
+from gradmult.hilbert import series_difference
+from gradmult.reductions import _fc1_sides as _colon_sides
+
+
+def same_series(left, right):
+    """True when the two sums of hilbert.series_difference are equal."""
+    return not series_difference(left, right)
+
+
+def _fc1_series(cache, ann, x_rep, slot, exps):
+    """B : x == C on homogeneous input: HS(R/B) = HS(R/(B + x)) + t^deg(x) HS(R/C)."""
+    bumped, rhs = _colon_sides(cache, ann, slot, exps)
+    bumped_x = PolyIdeal(cache.ring, bumped.groebner() + (x_rep,))
+    return same_series(((bumped, 0),), ((bumped_x, 0), (rhs, x_rep.degree())))
 
 
 def _fc1_sides(cache, x_rep, slot, exps):

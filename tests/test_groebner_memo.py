@@ -66,6 +66,32 @@ def test_orders_do_not_collide():
     }
 
 
+@pytest.mark.parametrize("weighted_first", [False, True], ids=["degrevlex first", "weighted first"])
+def test_weight_orders_do_not_collide(weighted_first):
+    # same names and generators: weight 2 on z makes z lead x^2 - z, degrevlex x^2
+    r = poly_ring(("x", "y", "z"))
+    w = r.with_order(MonomialOrder.weighted(3, (0, 0, 2)))
+    w2 = r.with_order(MonomialOrder.weighted(3, (0, 1, 2)))
+    x, y, z = r.gens()
+    gens = [x * x - z, x * y - y * y * z]
+    groebner._memo.clear()
+    rings = (w, w2, r) if weighted_first else (r, w, w2)
+    bases = {}
+    for ring in rings:
+        moved = [Polynomial(ring, dict(g.coeffs)) for g in gens]
+        bases[ring] = buchberger(moved)
+        assert bases[ring] == cold(moved)
+        assert all(g.ring == ring for g in bases[ring])
+    assert len(groebner._memo) == 3
+    assert (2, 0, 0) in [g.leading_monomial() for g in bases[r]]
+    assert (0, 0, 1) in [g.leading_monomial() for g in bases[w]]
+    flat = [{frozenset(g.coeffs.items()) for g in bases[ring]} for ring in (r, w, w2)]
+    assert flat[0] != flat[1] and flat[0] != flat[2]
+    assert len({r.key(), w.key(), w2.key()}) == 3
+    assert r != w and w != w2 and hash(r) != hash(w)
+    assert "w=(0, 0, 2)" in repr(w)
+
+
 def test_fields_do_not_collide():
     # same integer coefficients, so the same generator keys; 3 = 0 in fp(3)
     # turns x + 3z into x

@@ -92,6 +92,8 @@ def test_order_key_conventions():
         MonomialOrder.degrevlex(3),
         MonomialOrder.elimination(3, (0,)),
         MonomialOrder.elimination(3, (0, 2)),
+        MonomialOrder.weighted(3, (0, 2, 1)),
+        MonomialOrder.weighted(3, (0, 0, 1), (0,)),
     ],
 )
 def test_order_axioms(order):
@@ -111,6 +113,28 @@ def test_order_axioms(order):
         # global: 1 is minimal
         if a != one:
             assert ka > order.key(one)
+
+
+def test_weight_order_conventions():
+    order = MonomialOrder.weighted(3, (0, 1, 2))
+    # the weight first: z (weight 2) beats x^3 (weight 0)
+    assert order.key((0, 0, 1)) > order.key((3, 0, 0))
+    # equal weight: degrevlex decides, by degree and then against the last variable
+    assert order.key((2, 2, 0)) > order.key((0, 2, 0))
+    assert order.key((1, 0, 1)) < order.key((0, 2, 0))
+    # an eliminated block of weight zero comes before every weight
+    elim = MonomialOrder.weighted(3, (0, 0, 5), (0,))
+    assert elim.key((1, 0, 0)) > elim.key((0, 0, 9))
+    assert elim.key((0, 0, 1)) > elim.key((0, 4, 0))
+    with pytest.raises(ValueError):
+        MonomialOrder.weighted(3, (1, 0, 0), (0,))
+    with pytest.raises(ValueError):
+        MonomialOrder.weighted(3, (0, -1, 0))
+    with pytest.raises(ValueError):
+        MonomialOrder.weighted(3, (0, 1))
+    assert MonomialOrder.weighted(3, (0, 1, 2)) == order
+    assert MonomialOrder.weighted(3, (0, 2, 1)) != order
+    assert MonomialOrder.degrevlex(3) != MonomialOrder.weighted(3, (0, 0, 0))
 
 
 def test_elimination_block_dominates():
