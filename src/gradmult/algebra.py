@@ -184,9 +184,10 @@ def order_and_initial(x):
 
 
 class AlgIdeal:
-    """Ideal of a graded algebra, with its polynomial-ring lift cached."""
+    """Ideal of a graded algebra, with its polynomial-ring lift cached (and its
+    powers and fiber cone, kept by groebner.memo_power and reductions._fiber_cone)."""
 
-    __slots__ = ("algebra", "gens", "_lift", "_powers")
+    __slots__ = ("algebra", "gens", "_lift", "_powers", "_fiber")
 
     def __init__(self, algebra, items):
         self.algebra = algebra
@@ -203,6 +204,7 @@ class AlgIdeal:
         self.gens = tuple(clean)
         self._lift = None
         self._powers = None
+        self._fiber = None
 
     @property
     def lift(self):

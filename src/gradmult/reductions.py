@@ -1,14 +1,20 @@
 """Reductions J of I, analytic spread, and the weak-FC sequence machinery.
 
-Reduction certification is the bounded power test I^{n+1} = J I^n.  FC checks
-run inside quotients by earlier sequence members; those quotients are handled
-entirely on polynomial lifts, so nothing here needs the quotient to be graded.
-When the lift, the element x and every ideal are homogeneous, FC1 is decided
-for every window tuple from two multi-Rees presentations per element,
-S[I_k t_k, x u] and (S/x)[I_k t_k] with S the quotient by the lift: the
-products K_n and x K_n and the image of K_n mod x are graded pieces of these
-algebras, counted as standard monomials in a weight order, so no basis is
-built per tuple.  Other input checks FC1 as B : x = K_n + (base : x) by a
+A reduction is certified by the least n <= DEFAULT_N_MAX with
+I^(n+1) = J I^n.  On homogeneous input that n is the top degree of
+F(I)/J F(I), read off one Hilbert series of the fiber cone
+F(I) = k[T]/Phi (Northcott-Rees), so no product J I^n is built; the same
+Phi gives the analytic spread, its Krull dimension.  Other input compares
+I^(n+1) with J I^n for n = 0, 1, ...
+
+FC checks run inside quotients by earlier sequence members; those quotients
+are handled entirely on polynomial lifts, so nothing here needs the quotient
+to be graded.  When the lift, the element x and every ideal are homogeneous,
+FC1 is decided for every window tuple from two multi-Rees presentations per
+element, S[I_k t_k, x u] and (S/x)[I_k t_k] with S the quotient by the lift:
+the products K_n and x K_n and the image of K_n mod x are graded pieces of
+these algebras, counted as standard monomials in a weight order, so no basis
+is built per tuple.  Other input checks FC1 as B : x = K_n + (base : x) by a
 colon; the one annihilator base : x per element also decides FC2.
 """
 
@@ -19,9 +25,10 @@ from dataclasses import dataclass
 from .algebra import AlgIdeal, minimal_basis
 from .errors import SearchExhausted
 from .groebner import PolyIdeal, _fresh_name, buchberger
-from .hilbert import BlockSeries, _poly_add
+from .hilbert import BlockSeries, _poly_add, leading_series
+from .linalg import solve
 from .monomials import MonomialOrder
-from .polynomials import PolyRing, map_vars
+from .polynomials import Polynomial, PolyRing, map_vars
 
 DEFAULT_N_MAX = 8
 DEFAULT_RETRIES = 32
@@ -39,12 +46,45 @@ class ReductionCertificate:
 
 
 def is_reduction(J, I):
-    """Certify I^{n+1} = J I^n for some n <= DEFAULT_N_MAX; containment violations raise."""
+    """Certify I^(n+1) = J I^n for some n <= DEFAULT_N_MAX; J must lie in I.
+
+    The witness is the least such n, the reduction number of I with respect
+    to J.  On homogeneous input (I nonzero, proper and homogeneous, every
+    generator of J homogeneous; the defining ideal always is) it is read off
+    the fiber cone F = F(I) = sum of I^n / m I^n, and no product J I^n is
+    formed:
+    - F = k[T]/Phi, T_i -> the class of the minimal generator g_i of I in
+      I/mI (_fiber_cone).
+    - JF is generated by the images of the generators of J in F_1 = I/mI.  A
+      generator j maps to the linear form sum c_i T_i with
+      j = sum c_i g_i mod mI.  The classes of the g_i are a basis of I/mI,
+      so the c_i are the one solution of NF_mI(j) = sum c_i NF_mI(g_i),
+      zero on the g_i of other degrees than j.
+    - (F/JF)_(n+1) = I^(n+1) / (J I^n + m I^(n+1)), so it is zero iff
+      I^(n+1) = J I^n + m I^(n+1), iff I^(n+1) = J I^n by graded Nakayama
+      (I^(n+1) is a finitely generated graded module, m the irrelevant ideal).
+    - F/JF = k[T]/(Phi + forms) is generated in degree 1, so a zero degree is
+      followed by zeros only: the least n is the top degree of F/JF, which
+      is Artinian exactly when some n exists.  Its Hilbert series is then the
+      polynomial hilbert.leading_series returns, of degree n.
+    Other input climbs the powers (_power_witness).  Either way J = I is
+    witness 0, checked first on the two lifts.
+    """
     if J.algebra != I.algebra:
         raise ValueError("mixed-algebra reduction test")
     for g in J.gens:
         if not I.lift.contains(g.rep):
             raise ValueError("J is not contained in I")
+    if J.lift.equals(I.lift):
+        return ReductionCertificate("REDUCTION", 0)
+    # I = 0 forces J = I, answered above
+    if I.is_proper() and I.is_homogeneous() and all(g.rep.is_homogeneous() for g in J.gens):
+        return _fiber_witness(J, I)
+    return _power_witness(J, I)
+
+
+def _power_witness(J, I):
+    """The power test: compare I^(n+1) with J I^n for n = 0 .. DEFAULT_N_MAX."""
     for n in range(DEFAULT_N_MAX + 1):
         lhs = I.power(n + 1)
         rhs = J.times(I.power(n))
@@ -53,16 +93,60 @@ def is_reduction(J, I):
     return ReductionCertificate("INCONCLUSIVE")
 
 
-def analytic_spread(I):
-    """Krull dimension of the special fiber of the Rees algebra."""
+def _fiber_witness(J, I):
+    """The top degree of F(I)/J F(I), for homogeneous J inside I (see is_reduction)."""
+    fiber = _fiber_cone(I)
+    ring, mi = fiber.relations.ring, fiber.mi
+    images = [mi.normal_form(g.rep).coeffs for g in fiber.generators]
+    forms = []
+    for j in J.gens:
+        coeffs = solve(ring.field, images, mi.normal_form(j.rep).coeffs)
+        if coeffs is None:
+            raise ArithmeticError("a generator of J has no image in I/mI")
+        forms.append(sum((c * t for c, t in zip(coeffs, ring.gens())), ring.zero()))
+    quotient = PolyIdeal(ring, fiber.relations.gens + tuple(forms))
+    num, dim = leading_series(quotient.leading_monomials(), ring.n)
+    top = len(num) - 1
+    if dim > 0 or top > DEFAULT_N_MAX:
+        return ReductionCertificate("INCONCLUSIVE")
+    return ReductionCertificate("REDUCTION", top)
+
+
+@dataclass(frozen=True)
+class _FiberCone:
+    """F(I) = k[T]/relations, T_i -> the class of generators[i] in I/mI."""
+
+    generators: list  # the minimal generators g_i of I
+    relations: PolyIdeal  # Phi, in k[T]
+    mi: PolyIdeal  # the lift of mI
+
+
+def _fiber_cone(I):
+    """The fiber cone of I, built once per ideal (kept in I._fiber): a
+    reduction search asks for the spread and then certifies every candidate
+    against the same I.
+
+    F(I) is R/mR for the Rees algebra R = k[x, T]/L (mixed_rees.rees_presentation),
+    and k[x, T]/(L + (x)) is k[T] modulo the images of the generators of L
+    with every x set to 0.
+    """
     from .mixed_rees import rees_presentation
 
-    pres = rees_presentation(I)
-    ring = pres.ambient
-    fiber = PolyIdeal(
-        ring, pres.rees_ideal.gens + tuple(ring.var(i) for i in range(pres.base_vars))
-    )
-    return fiber.krull_dimension()
+    if I._fiber is None:
+        pres = rees_presentation(I)
+        n = pres.base_vars
+        ring = PolyRing(pres.t_names, pres.ambient.field)
+        phi = PolyIdeal(ring, tuple(
+            Polynomial(ring, {e[n:]: c for e, c in g.coeffs.items() if not any(e[:n])})
+            for g in pres.rees_ideal.gens
+        ))
+        I._fiber = _FiberCone(pres.generators, phi, I.times(I.algebra.irrelevant_ideal()).lift)
+    return I._fiber
+
+
+def analytic_spread(I):
+    """Krull dimension of the fiber cone F(I) = k[T]/Phi (_fiber_cone)."""
+    return _fiber_cone(I).relations.krull_dimension()
 
 
 @dataclass
@@ -92,7 +176,7 @@ def find_minimal_reduction(I, seed=0, retries=DEFAULT_RETRIES):
     """
     algebra = I.algebra
     spread = analytic_spread(I)
-    basis = minimal_basis(I)
+    basis = _fiber_cone(I).generators
     rng = random.Random(seed)
     field_ = algebra.ring.field
 
