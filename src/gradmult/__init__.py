@@ -26,7 +26,6 @@ from .groebner import INFINITE, PolyIdeal, buchberger, normal_form
 from .hilbert import HilbertData, hilbert_data
 from .mixed_rees import (
     MixedMultiplicityTable,
-    ReesPresentation,
     bhattacharya_oracle,
     invariance_check,
     mixed_fastpath,
@@ -44,6 +43,7 @@ from .multiplicity import (
     samuel_oracle,
 )
 from .polynomials import Polynomial, PolyRing, poly_ring
+from .rees import ReesPresentation
 from .reductions import (
     analytic_spread,
     build_fc_sequence,

@@ -185,7 +185,8 @@ def order_and_initial(x):
 
 class AlgIdeal:
     """Ideal of a graded algebra, with its polynomial-ring lift cached (and its
-    powers and fiber cone, kept by groebner.memo_power and reductions._fiber_cone)."""
+    powers, kept by groebner.memo_power, and its fiber cone, built by
+    reductions._fiber_cone off rees.rees_presentation)."""
 
     __slots__ = ("algebra", "gens", "_lift", "_powers", "_fiber")
 

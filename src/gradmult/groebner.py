@@ -320,6 +320,14 @@ class PolyIdeal:
     def unit(cls, ring):
         return cls(ring, (ring.one(),))
 
+    @classmethod
+    def from_basis(cls, ring, basis):
+        """The ideal whose reduced Groebner basis in ring's order is basis,
+        sorted ascending by leading monomial as buchberger returns it."""
+        ideal = cls(ring, basis)
+        ideal._gb = ideal.gens
+        return ideal
+
     def groebner(self):
         if self._gb is None:
             self._gb = buchberger(self.gens)

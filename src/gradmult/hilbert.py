@@ -13,7 +13,8 @@ The same recursion with vector degrees gives the multigraded numerator of a
 monomial ideal over prod_i (1 - z^deg v_i) (multigraded_numerator).
 BlockSeries reads off it, for k[x, T]/(leads) with T in weighted blocks, the
 series in one variable t at one block multidegree, over (1 - t)^n,
-counting only the monomials of x-degree at least c.
+counting only the monomials of x-degree at least c, and the number of
+monomials of one block multidegree and one x-degree.
 """
 
 import functools
@@ -350,14 +351,27 @@ class BlockSeries:
             self._grids[b] = {key: v for key, v in grid.items() if v}
         return self._grids[b]
 
+    def _x_degree(self, grid, a):
+        """{weight w: count} of the standard monomials of x-degree a in the
+        grid's block degree; a grid term q z^a0 u^w counts q binom(a - a0 +
+        n - 1, n - 1) of them if a >= a0."""
+        out = {}
+        for (a0, w), v in grid.items():
+            if a0 <= a:
+                out[w] = out.get(w, 0) + v * math.comb(a - a0 + self.n - 1, self.n - 1)
+        return out
+
+    def layer(self, b, a):
+        """The number of standard monomials of block degree b and x-degree a."""
+        return sum(self._x_degree(self._grid(b), a).values())
+
     def slice(self, b, c=0):
         """Numerator over (1 - t)^n of sum_t h_t t^t, where h_t counts the
         standard monomials of block degree b, x-degree at least c and
         x-degree plus weight t, as a trimmed list.
 
-        It is the whole series less the polynomial of the x-degrees below c:
-        a term q z^a0 u^w of the grid counts binom(a - a0 + n - 1, n - 1)
-        monomials of x-degree a and weight w for every a >= a0.
+        It is the whole series less the polynomial of the x-degrees below c
+        (_x_degree).
         """
         n = self.n
         grid = self._grid(b)
@@ -365,9 +379,9 @@ class BlockSeries:
         for (a, w), v in grid.items():
             num[a + w] += v
         low = {}
-        for (a0, w), v in grid.items():
-            for a in range(a0, c):
-                low[a + w] = low.get(a + w, 0) + v * math.comb(a - a0 + n - 1, n - 1)
+        for a in range(c):
+            for w, v in self._x_degree(grid, a).items():
+                low[a + w] = low.get(a + w, 0) + v
         if low:
             below = [0] * (max(low) + 1)
             for e, v in low.items():

@@ -1,28 +1,27 @@
 """Mixed multiplicities and Rees algebra multiplicities, oracle and fast path.
 
 The oracle side is exact arithmetic all the way down: Bhattacharya tables come
-from layer lengths l(m^a K / m^(a+1) K) fitted by an exact polynomial.  All
-the lengths of one K (one column of the grid) are read off one Hilbert series
-per degree of the homogeneous components of K's generators, with no product
-by a power of m.  The Rees multiplicity comes from the (x, T)-adic colengths
-of the eliminated presentation, read off the Hilbert function of its tangent
+from layer lengths l(m^a K / m^(a+1) K) fitted by an exact polynomial.  Every
+length of the grid, K running over the products of ideal powers, counts
+standard monomials of one multi-Rees presentation S[I_1 t_1, .., I_s t_s]
+(rees.multi_rees), with no power of an ideal and no product formed.  The
+Rees multiplicity comes from the (x, T)-adic colengths of the presentation
+rees.rees_presentation gives, read off the Hilbert function of its tangent
 cone at the origin (one Lazard standard basis for every length).  Fast paths
 are the degree-sequence product formulas; the two sides are never mixed.
 """
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
-from .algebra import AlgIdeal, minimal_basis
+from .algebra import AlgIdeal
 from .degseq import degree_sequence
 from .errors import FitMismatch, HypothesisFail
-from .groebner import PolyIdeal, _fresh_name, eliminate_into
-from .hilbert import hilbert_data
+from .groebner import PolyIdeal
 from .linalg import rref_insert, solve
-from .monomials import MonomialOrder, monomials_up_to
+from .monomials import monomials_up_to
 from .multiplicity import SamuelResult, adic_lengths, quotient_multiplicity, windowed_oracle
-from .polynomials import PolyRing, map_vars
 from .reductions import (
     FcWindow,
     _fc_check_on_lift,
@@ -30,48 +29,8 @@ from .reductions import (
     height_and_equimultiple,
     is_reduction,
 )
+from .rees import multi_rees, rees_presentation
 from .scalars import QQ
-
-
-@dataclass
-class ReesPresentation:
-    ambient: PolyRing
-    rees_ideal: PolyIdeal
-    base_vars: int
-    t_names: tuple
-    generators: list
-    dim: int
-
-
-def rees_presentation(I):
-    """Present the Rees algebra: eliminate t from (P, T_j - g_j t) in k[x, T, t]."""
-    algebra = I.algebra
-    if I.is_zero() or not I.is_proper():
-        raise ValueError("Rees presentation needs a nonzero proper ideal")
-    gens = minimal_basis(I)
-    s = len(gens)
-    names = list(algebra.ring.names)
-    t_names = []
-    for j in range(s):
-        t_names.append(_fresh_name(set(names) | set(t_names), f"T{j + 1}"))
-    tvar = _fresh_name(set(names) | set(t_names), "t")
-    n = algebra.ring.n
-    total = n + s + 1
-    pring = PolyRing(tuple(names) + tuple(t_names), algebra.ring.field)
-    ering = pring.extended((tvar,), MonomialOrder.elimination(total, (total - 1,)))
-    pos = tuple(range(n))
-    egens = [map_vars(p, ering, pos) for p in algebra.defining.groebner()]
-    t = ering.var(total - 1)
-    for j, g in enumerate(gens):
-        egens.append(ering.var(n + j) - map_vars(g.rep, ering, pos) * t)
-    rees = eliminate_into(egens, (total - 1,), pring)
-    dim = rees.krull_dimension()
-    height = algebra.dim - I.lift.krull_dimension()
-    if height > 0 and dim != algebra.dim + 1:
-        raise ArithmeticError(
-            f"positive-height ideal gave Rees dimension {dim}, expected {algebra.dim + 1}"
-        )
-    return ReesPresentation(pring, rees, n, tuple(t_names), gens, dim)
 
 
 def rees_multiplicity_oracle(I, window=None):
@@ -107,7 +66,8 @@ def _reduction_degrees(I, h, degseq, seed):
 
 
 def rees_multiplicity_fastpath(I, degseq=None, seed=0):
-    """e(R(I)) = (1 + sum_{i<h} a_1..a_i) e(S) from a minimal reduction's degrees."""
+    """e(R(I)) = (1 + sum_{i<h} a_1..a_i) e(S) from a minimal reduction's
+    degrees: the sum over i < h of the mixed fast-path values a_1..a_i e(S)."""
     algebra = I.algebra
     if not I.is_homogeneous():
         raise HypothesisFail("fast path needs a homogeneous ideal")
@@ -120,21 +80,7 @@ def rees_multiplicity_fastpath(I, degseq=None, seed=0):
         )
     h = hr.height
     degseq = _reduction_degrees(I, h, degseq, seed)
-    total = 1
-    prod = 1
-    for a in degseq[: h - 1]:
-        prod *= a
-        total += prod
-    value = total * algebra.mult
-    # sum rule: same number as e(S) plus the partial-product mixed values
-    check = algebra.mult
-    for i in range(1, h):
-        term = algebra.mult
-        for a in degseq[:i]:
-            term *= a
-        check += term
-    if check != value:
-        raise ArithmeticError("sum rule violated in the closed form")
+    value = sum(prod(degseq[:i]) for i in range(h)) * algebra.mult
     return SamuelResult(
         value,
         "fastpath-cor-3.2(ii)",
@@ -195,54 +141,33 @@ class MixedMultiplicityTable:
         return self.entries[tuple(key)]
 
 
-def _layer_lengths(algebra, K, n0s):
-    """{a: l(m^a K / m^(a+1) K)} for each a in n0s, K a graded ideal of S = R/P.
+def _bhattacharya_columns(ideals, n0s, axes):
+    """{ns: {a: l(m^a K / m^(a+1) K) for a in n0s}} for every ns of the
+    product of the axes, K = prod_k I_k^(ns_k), off one presentation.
 
-    Split the generators of K into their homogeneous components.  These lie
-    in K because K is graded, and they generate it.  For a degree j let L_j
-    be the ideal P + (components of degree <= j) of R; with no components it
-    is P, so L_j changes only at the component degrees s_1 < s_2 < ... .
-
-    Identity: (m^a K)_t = (L_(t-a)/P)_t.  Proof: m^a K is generated by the
-    products u g, u a monomial of degree a and g a component, so (m^a K)_t
-    is the sum of S_(t-a-deg g) S_a g over the g with deg g <= t - a.  S is
-    standard graded, so S_(t-a-deg g) S_a = S_(t-deg g), and the sum is the
-    degree-t piece of the ideal of S generated by the components of degree
-    <= t - a, which is (L_(t-a)/P)_t.
-
-    Since dim (L/P)_t = HF(R/P)(t) - HF(R/L)(t), the layer in degree t has
-    dimension HF(R/L_(t-a-1))(t) - HF(R/L_(t-a))(t).  It vanishes unless
-    t - a is a component degree s, where L_(t-a-1) = L_(s-), s- the previous
-    component degree.  Summing over t,
-
-        l(m^a K / m^(a+1) K) = sum_s [HF(R/L_(s-))(a + s) - HF(R/L_s)(a + s)],
-
-    one Hilbert series per distinct component degree, whatever the range of
-    a, and no product with a power of m.  A unit L_s (K = S) has HF = 0.
+    The homogeneous components of the generators of each graded I_k lie in
+    it and generate it; they are block k of S[I_1 t_1, .., I_s t_s]
+    (rees.multi_rees).  By the counting argument of the rees module the
+    layer has length the number of standard monomials of block degree ns
+    and x-degree exactly a (BlockSeries.layer); ns = 0 gives K = S.
     """
-    parts = {}
-    for g in K.gens:
-        for d, part in g.rep.homogeneous_components().items():
-            parts.setdefault(d, []).append(part)
-    lengths = dict.fromkeys(n0s, 0)
-    L = algebra.defining
-    before = algebra.hilbert.hilbert_function
-    for s in sorted(parts):
-        L = PolyIdeal(algebra.ring, L.groebner() + tuple(parts[s]))
-        after = (lambda t: 0) if L.is_unit() else hilbert_data(L).hilbert_function
-        for a in lengths:
-            lengths[a] += before(a + s) - after(a + s)
-        before = after
-    return lengths
+    blocks = [
+        list(dict.fromkeys(c for g in I.gens for c in g.rep.homogeneous_components().values()))
+        for I in ideals
+    ]
+    series = multi_rees(ideals[0].algebra.defining, blocks).series()
+    return {ns: {a: series.layer(ns, a) for a in n0s} for ns in itertools.product(*axes)}
 
 
 def bhattacharya_oracle(ideals, n0_range=(2, 5), n_ranges=None):
     """Mixed multiplicities from exact polynomial fit of adic layer lengths.
 
-    h(n0, n) = l(m^{n0} K / m^{n0+1} K) with K the product of ideal powers is
-    fitted exactly as a polynomial of total degree q - 1 on the deep end of the
-    grid and validated on every remaining point; entries are the normalized
-    top coefficients, keyed by type tuples summing to q.
+    h(n0, n) = l(m^{n0} K / m^{n0+1} K) with K the product of ideal powers
+    (_bhattacharya_columns) is fitted exactly as a polynomial of total degree
+    q - 1 on the deep end of the grid and validated on every remaining
+    point; entries are the normalized top coefficients, keyed by type tuples
+    summing to q.  q is the Krull dimension of R/(P : (I_1 .. I_s)^inf),
+    saturating by one ideal at a time.
     """
     if isinstance(ideals, AlgIdeal):
         ideals = [ideals]
@@ -267,12 +192,9 @@ def bhattacharya_oracle(ideals, n0_range=(2, 5), n_ranges=None):
             and all(isinstance(v, int) for v in r) and 0 <= r[0] <= r[1]
         ):
             raise ValueError(f"range {r!r} must be a pair (lo, hi) with 0 <= lo <= hi")
-    prod = ideals[0]
-    for I in ideals[1:]:
-        prod = prod.times(I)
-    sat = algebra.defining.saturate(
-        PolyIdeal(algebra.ring, tuple(g.rep for g in prod.gens))
-    )
+    sat = algebra.defining
+    for I in ideals:
+        sat = sat.saturate(PolyIdeal(algebra.ring, tuple(g.rep for g in I.gens)))
     if sat.is_unit():
         raise ValueError("product of the ideals is nilpotent")
     q = sat.krull_dimension()
@@ -280,28 +202,12 @@ def bhattacharya_oracle(ideals, n0_range=(2, 5), n_ranges=None):
         raise ValueError("saturated quotient is Artinian; no positive-degree table")
     n0s = range(n0_range[0], n0_range[1] + 1)
     axes = [range(lo, hi + 1) for lo, hi in n_ranges]
-    columns = {}
-    for ns in itertools.product(*axes):
-        K = AlgIdeal(algebra, (algebra.one(),))
-        for I, nj in zip(ideals, ns):
-            K = K.times(I.power(nj))
-        columns[ns] = _layer_lengths(algebra, K, n0s)
+    columns = _bhattacharya_columns(ideals, n0s, axes)
     grid = {p: columns[p[1:]][p[0]] for p in itertools.product(n0s, *axes)}
 
-    monos = [mo for mo in monomials_up_to(1 + s, q - 1)]
-    monos.sort(key=lambda e: (sum(e), e), reverse=True)
+    monos = sorted(monomials_up_to(1 + s, q - 1), key=lambda e: (sum(e), e), reverse=True)
     points = sorted(grid, key=lambda p: (sum(p), p), reverse=True)
-
-    def row_for(p):
-        out = []
-        for e in monos:
-            v = 1
-            for base, exp in zip(p, e):
-                v *= base ** exp
-            out.append(v)
-        return out
-
-    rows = {p: row_for(p) for p in points}
+    rows = {p: [prod(b**x for b, x in zip(p, e)) for e in monos] for p in points}
     chosen = []
     coeffs = None
     echelon = {}
@@ -377,9 +283,7 @@ def mixed_fastpath(I, degseq=None, i=None, seed=0):
     if i >= h:
         return SamuelResult(0, "fastpath-rem-3.5", None, {"height": h, "i": i})
     degseq = _reduction_degrees(I, h, degseq, seed)
-    value = algebra.mult
-    for a in degseq[:i]:
-        value *= a
+    value = algebra.mult * prod(degseq[:i])
     return SamuelResult(
         value,
         "fastpath-cor-3.2(i)",
@@ -445,9 +349,7 @@ def mixed_via_fc_quotient(I, xs, window=None):
     order_value = None
     agree = None
     if init.lift.krull_dimension() == d - t:
-        order_product = 1
-        for x in xs:
-            order_product *= x.order
+        order_product = prod(x.order for x in xs)
         order_value = order_product * algebra.mult
         agree = order_value == value
     return QuotientRouteReport(value, t, True, order_product, order_value, agree)

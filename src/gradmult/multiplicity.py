@@ -12,6 +12,7 @@ from .degseq import degree_sequence
 from .errors import HypothesisFail, Inconclusive, NoStabilization
 from .groebner import INFINITE
 from .hilbert import hilbert_data
+from .reductions import is_reduction
 
 
 @dataclass
@@ -140,8 +141,6 @@ def samuel_fastpath_domain(I, J, domain_asserted=False):
     Valid when S is a domain, which cannot be checked here: the caller must
     assert it.  J is re-verified as a d-generated reduction of I.
     """
-    from .reductions import is_reduction
-
     if not domain_asserted:
         raise ValueError("this fast path needs the caller to assert S is a domain")
     algebra = I.algebra

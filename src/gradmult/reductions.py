@@ -3,19 +3,22 @@
 A reduction is certified by the least n <= DEFAULT_N_MAX with
 I^(n+1) = J I^n.  On homogeneous input that n is the top degree of
 F(I)/J F(I), read off one Hilbert series of the fiber cone
-F(I) = k[T]/Phi (Northcott-Rees), so no product J I^n is built; the same
-Phi gives the analytic spread, its Krull dimension.  Other input compares
-I^(n+1) with J I^n for n = 0, 1, ...
+F(I) = k[T]/Phi (Northcott-Rees), Phi coming from rees.rees_presentation,
+so no product J I^n is built.  The same Phi gives the analytic spread, its
+Krull dimension, and the degree-one piece I/mI of F(I) settles which
+candidates of a reduction search are minimally generated.  Other input
+compares I^(n+1) with J I^n for n = 0, 1, ...
 
 FC checks run inside quotients by earlier sequence members; those quotients
 are handled entirely on polynomial lifts, so nothing here needs the quotient
 to be graded.  When the lift, the element x and every ideal are homogeneous,
 FC1 is decided for every window tuple from two multi-Rees presentations per
-element, S[I_k t_k, x u] and (S/x)[I_k t_k] with S the quotient by the lift:
-the products K_n and x K_n and the image of K_n mod x are graded pieces of
-these algebras, counted as standard monomials in a weight order, so no basis
-is built per tuple.  Other input checks FC1 as B : x = K_n + (base : x) by a
-colon; the one annihilator base : x per element also decides FC2.
+element (rees.multi_rees), S[I_k t_k, x u] and (S/x)[I_k t_k] with S the
+quotient by the lift: the products K_n and x K_n and the image of K_n mod x
+are graded pieces of these algebras, counted as standard monomials in a
+weight order, so no basis is built per tuple.  Other input checks FC1 as
+B : x = K_n + (base : x) by a colon; the one annihilator base : x per
+element also decides FC2.
 """
 
 import itertools
@@ -24,11 +27,12 @@ from dataclasses import dataclass
 
 from .algebra import AlgIdeal, minimal_basis
 from .errors import SearchExhausted
-from .groebner import PolyIdeal, _fresh_name, buchberger
-from .hilbert import BlockSeries, _poly_add, leading_series
-from .linalg import solve
-from .monomials import MonomialOrder
-from .polynomials import Polynomial, PolyRing, map_vars
+from .groebner import PolyIdeal
+from .hilbert import _poly_add, leading_series
+from .linalg import rref_insert, solve
+from .monomials import monomials_of_degree
+from .polynomials import Polynomial, PolyRing
+from .rees import multi_rees, rees_presentation
 
 DEFAULT_N_MAX = 8
 DEFAULT_RETRIES = 32
@@ -93,18 +97,23 @@ def _power_witness(J, I):
     return ReductionCertificate("INCONCLUSIVE")
 
 
-def _fiber_witness(J, I):
-    """The top degree of F(I)/J F(I), for homogeneous J inside I (see is_reduction)."""
-    fiber = _fiber_cone(I)
-    ring, mi = fiber.relations.ring, fiber.mi
-    images = [mi.normal_form(g.rep).coeffs for g in fiber.generators]
+def _fiber_forms(fiber, gens):
+    """The linear forms in F(I)_1 = I/mI of the elements gens of I (see is_reduction)."""
+    ring = fiber.relations.ring
     forms = []
-    for j in J.gens:
-        coeffs = solve(ring.field, images, mi.normal_form(j.rep).coeffs)
+    for j in gens:
+        coeffs = solve(ring.field, fiber.images, fiber.mi.normal_form(j.rep).coeffs)
         if coeffs is None:
             raise ArithmeticError("a generator of J has no image in I/mI")
         forms.append(sum((c * t for c, t in zip(coeffs, ring.gens())), ring.zero()))
-    quotient = PolyIdeal(ring, fiber.relations.gens + tuple(forms))
+    return forms
+
+
+def _fiber_witness(J, I):
+    """The top degree of F(I)/J F(I), for homogeneous J inside I (see is_reduction)."""
+    fiber = _fiber_cone(I)
+    ring = fiber.relations.ring
+    quotient = PolyIdeal(ring, fiber.relations.gens + tuple(_fiber_forms(fiber, J.gens)))
     num, dim = leading_series(quotient.leading_monomials(), ring.n)
     top = len(num) - 1
     if dim > 0 or top > DEFAULT_N_MAX:
@@ -119,6 +128,7 @@ class _FiberCone:
     generators: list  # the minimal generators g_i of I
     relations: PolyIdeal  # Phi, in k[T]
     mi: PolyIdeal  # the lift of mI
+    images: list  # the normal form mod mI of each g_i, as a coefficient dict
 
 
 def _fiber_cone(I):
@@ -126,12 +136,10 @@ def _fiber_cone(I):
     reduction search asks for the spread and then certifies every candidate
     against the same I.
 
-    F(I) is R/mR for the Rees algebra R = k[x, T]/L (mixed_rees.rees_presentation),
+    F(I) is R/mR for the Rees algebra R = k[x, T]/L (rees.rees_presentation),
     and k[x, T]/(L + (x)) is k[T] modulo the images of the generators of L
     with every x set to 0.
     """
-    from .mixed_rees import rees_presentation
-
     if I._fiber is None:
         pres = rees_presentation(I)
         n = pres.base_vars
@@ -140,7 +148,9 @@ def _fiber_cone(I):
             Polynomial(ring, {e[n:]: c for e, c in g.coeffs.items() if not any(e[:n])})
             for g in pres.rees_ideal.gens
         ))
-        I._fiber = _FiberCone(pres.generators, phi, I.times(I.algebra.irrelevant_ideal()).lift)
+        mi = I.times(I.algebra.irrelevant_ideal()).lift
+        images = [mi.normal_form(g.rep).coeffs for g in pres.generators]
+        I._fiber = _FiberCone(pres.generators, phi, mi, images)
     return I._fiber
 
 
@@ -172,11 +182,16 @@ def find_minimal_reduction(I, seed=0, retries=DEFAULT_RETRIES):
 
     For a homogeneous I each generator is drawn from a graded piece of I,
     walking candidate degree multisets smallest-first; otherwise generators
-    are random combinations of the minimal basis.  Raises SearchExhausted on failure.
+    are random combinations of the minimal basis.  A candidate J needs
+    spread minimal generators: for a homogeneous I, independent linear forms
+    in F(I)_1 = I/mI (dependent ones are too few for F(I)/J F(I) to be
+    Artinian), else minimal_basis(J).  Raises SearchExhausted on failure.
     """
     algebra = I.algebra
     spread = analytic_spread(I)
-    basis = _fiber_cone(I).generators
+    fiber = _fiber_cone(I)
+    basis = fiber.generators
+    homogeneous = I.is_homogeneous()
     rng = random.Random(seed)
     field_ = algebra.ring.field
 
@@ -190,17 +205,22 @@ def find_minimal_reduction(I, seed=0, retries=DEFAULT_RETRIES):
         J = AlgIdeal(algebra, gens)
         if J.is_zero() or not J.is_proper():
             return None
-        try:
-            if len(minimal_basis(J)) != spread:
+        if homogeneous:
+            echelon = {}
+            if sum(rref_insert(echelon, f.coeffs, field_) for f in _fiber_forms(fiber, J.gens)) < spread:
                 return None
-        except ValueError:
-            return None
+        else:
+            try:
+                if len(minimal_basis(J)) != spread:
+                    return None
+            except ValueError:
+                return None
         cert = is_reduction(J, I)
         if cert.ok:
             return (J, cert)
         return None
 
-    if I.is_homogeneous():
+    if homogeneous:
         if any(not b.rep.is_homogeneous() for b in basis):
             raise ArithmeticError("homogeneous ideal produced a non-homogeneous basis")
         degrees = sorted({b.order for b in basis})
@@ -208,8 +228,6 @@ def find_minimal_reduction(I, seed=0, retries=DEFAULT_RETRIES):
 
         def pool(a):
             if a not in pools:
-                from .monomials import monomials_of_degree
-
                 items = []
                 seen = set()
                 for b in basis:
@@ -328,50 +346,6 @@ def _fc1_colon(cache, ann, x_rep, slot, exps):
     return rhs.contains_ideal(bumped.colon(x_rep))
 
 
-def _rees_series(base, blocks):
-    """BlockSeries of the multi-Rees algebra (R/base)[I_1 t_1, .., I_r t_r].
-
-    blocks[k] lists the nonzero homogeneous generators g_kj of I_k.  The
-    presentation k[x, T]/L, T_kj -> g_kj t_k, is built one block at a time:
-    with L' presenting A = (R/base)[I_1 t_1, .., I_(k-1) t_(k-1)], the
-    algebra A[I_k t_k] inside A[t_k] is presented by
-    (L' + (T_kj - g_kj t_k)) cap k[x, T], one basis in an order that
-    eliminates the t's and then compares sum deg(g_kj) beta_kj, refined by
-    degrevlex, on x^alpha T^beta.  Its members free of the t's are a basis
-    of the new L in that weight order.
-    """
-    ring = base.ring
-    n = ring.n
-    names = list(ring.names)
-    taken = set(names)
-
-    def fresh(stem):
-        name = _fresh_name(taken, stem)
-        taken.add(name)
-        names.append(name)
-
-    for k, gens in enumerate(blocks):
-        for j in range(len(gens)):
-            fresh(f"T{k + 1}_{j + 1}")
-    width = len(names)
-    for k in range(len(blocks)):
-        fresh(f"t{k + 1}")
-    weights = [0] * n + [g.degree() for gens in blocks for g in gens] + [0] * len(blocks)
-    order = MonomialOrder.weighted(len(names), weights, range(width, len(names)))
-    ering = PolyRing(names, ring.field, order)
-    pos = tuple(range(n))
-    kernel = buchberger([map_vars(p, ering, pos) for p in base.gens])
-    col = n
-    for k, gens in enumerate(blocks):
-        tk = ering.var(width + k)
-        new = [ering.var(col + j) - map_vars(g, ering, pos) * tk for j, g in enumerate(gens)]
-        col += len(gens)
-        # a lead free of the t's makes the whole member free of them
-        kernel = [g for g in buchberger(list(kernel) + new) if not any(g.leading_monomial()[width:])]
-    leads = [g.leading_monomial()[:width] for g in kernel]
-    return BlockSeries(leads, n, [[g.degree() for g in gens] for gens in blocks])
-
-
 def _m_slots(base, gen_lists):
     """Indices of the ideals of the tuple that equal m = (x_1..x_n) modulo base."""
     ring = base.ring
@@ -401,8 +375,8 @@ class _ReesFc1:
         self.m = _m_slots(base, gen_lists)
         self.blocks = [k for k in range(len(gen_lists)) if k not in self.m]
         gens = [[g for g in gen_lists[k] if g] for k in self.blocks]
-        self.full = _rees_series(base, gens + [[x_rep]])
-        self.bar = _rees_series(PolyIdeal(base.ring, base.gens + (x_rep,)), gens)
+        self.full = multi_rees(base, gens + [[x_rep]]).series()
+        self.bar = multi_rees(PolyIdeal(base.ring, base.gens + (x_rep,)), gens).series()
 
     def holds(self, exps):
         bumped = exps[:self.slot] + (exps[self.slot] + 1,) + exps[self.slot + 1:]
@@ -438,14 +412,9 @@ def _fc_check_on_lift(base, x, gen_lists, slot, window):
     - R-bar = (S/x)[I_k t_k], presented over base + x: its piece of block
       degree n is K-bar_n.
     - The m slot.  The ideals equal to m get no block, and c is the sum of
-      their exponents: m^c K is the image of the span F_c of the monomials
-      x^alpha T^beta U^i of x-degree |alpha| >= c (the same in both u-degrees
-      and in R-bar).  L is homogeneous for (t, block degrees), and the order
-      compares the weight t - |alpha| first, so inside one multidegree F_c
-      is a down-set: every monomial below one of F_c lies in F_c.  A member
-      of L lies in F_c iff its lead does, so in(F_c cap L) = F_c cap in(L),
-      and dim (m^c K)_t = dim F_c - dim (F_c cap L) is the number of
-      standard monomials of degree t with x-degree >= c (hilbert.BlockSeries).
+      their exponents: dim (m^c K)_t is the number of standard monomials of
+      degree t and x-degree >= c, in both u-degrees and in R-bar (see the
+      counting argument of the rees module).
     - Reading x K_n off R-full / x R-full would be wrong with the m slot:
       its filtration counts m^c K / (m^c K cap xK), and x m^c K may be
       smaller than m^c K cap xK.  The U block gives x m^c K itself.

@@ -1,7 +1,18 @@
-"""The per-point layer lengths that `mixed_rees._layer_lengths` replaced, kept
-as the reference: for each n0, the products m^(n0+1) K and m^n0 K and the
-Hilbert-function difference of their quotients."""
+"""The two routes to the Bhattacharya layer lengths l(m^a K / m^(a+1) K)
+that the one multi-Rees presentation of `mixed_rees._bhattacharya_columns`
+replaced, kept as references, and the grid columns they give when K is
+formed per column as a product of ideal powers.
 
+- reference_layer_lengths: for each a, the products m^(a+1) K and m^a K and
+  the Hilbert-function difference of their quotients.
+- series_layer_lengths: one Hilbert series per degree of the homogeneous
+  components of K's generators, with no product by a power of m.
+"""
+
+import itertools
+
+from gradmult import AlgIdeal
+from gradmult.groebner import PolyIdeal
 from gradmult.hilbert import hilbert_data
 
 
@@ -27,3 +38,62 @@ def reference_layer_lengths(algebra, K, n0s):
         cap = n0 + max((g.rep.degree() for g in K.gens), default=0)
         out[n0] = _length_between(cap, small.lift, big.lift)
     return out
+
+
+def series_layer_lengths(algebra, K, n0s):
+    """{a: l(m^a K / m^(a+1) K)} for each a in n0s, K a graded ideal of S = R/P.
+
+    Split the generators of K into their homogeneous components.  These lie
+    in K because K is graded, and they generate it.  For a degree j let L_j
+    be the ideal P + (components of degree <= j) of R; with no components it
+    is P, so L_j changes only at the component degrees s_1 < s_2 < ... .
+
+    Identity: (m^a K)_t = (L_(t-a)/P)_t.  Proof: m^a K is generated by the
+    products u g, u a monomial of degree a and g a component, so (m^a K)_t
+    is the sum of S_(t-a-deg g) S_a g over the g with deg g <= t - a.  S is
+    standard graded, so S_(t-a-deg g) S_a = S_(t-deg g), and the sum is the
+    degree-t piece of the ideal of S generated by the components of degree
+    <= t - a, which is (L_(t-a)/P)_t.
+
+    Since dim (L/P)_t = HF(R/P)(t) - HF(R/L)(t), the layer in degree t has
+    dimension HF(R/L_(t-a-1))(t) - HF(R/L_(t-a))(t).  It vanishes unless
+    t - a is a component degree s, where L_(t-a-1) = L_(s-), s- the previous
+    component degree.  Summing over t,
+
+        l(m^a K / m^(a+1) K) = sum_s [HF(R/L_(s-))(a + s) - HF(R/L_s)(a + s)].
+
+    A unit L_s (K = S) has HF = 0.
+    """
+    parts = {}
+    for g in K.gens:
+        for d, part in g.rep.homogeneous_components().items():
+            parts.setdefault(d, []).append(part)
+    lengths = dict.fromkeys(n0s, 0)
+    L = algebra.defining
+    before = algebra.hilbert.hilbert_function
+    for s in sorted(parts):
+        L = PolyIdeal(algebra.ring, L.groebner() + tuple(parts[s]))
+        after = (lambda t: 0) if L.is_unit() else hilbert_data(L).hilbert_function
+        for a in lengths:
+            lengths[a] += before(a + s) - after(a + s)
+        before = after
+    return lengths
+
+
+def power_product(ideals, ns):
+    """K = prod_k I_k^(ns_k), the unit ideal for no factor."""
+    algebra = ideals[0].algebra
+    K = AlgIdeal(algebra, (algebra.one(),))
+    for I, nj in zip(ideals, ns):
+        K = K.times(I.power(nj))
+    return K
+
+
+def reference_columns(ideals, n0s, axes, lengths=reference_layer_lengths):
+    """{ns: {a: l(m^a K / m^(a+1) K)}} over the product of the axes, with K
+    formed per column (power_product)."""
+    algebra = ideals[0].algebra
+    return {
+        ns: lengths(algebra, power_product(ideals, ns), n0s)
+        for ns in itertools.product(*axes)
+    }

@@ -29,6 +29,7 @@ from gradmult import (
     make_algebra,
     poly_ring,
     reductions,
+    rees,
 )
 from gradmult.reductions import FcWindow, _fc1_colon, _ProductCache, _ReesFc1
 
@@ -253,7 +254,7 @@ def test_basis_count_does_not_depend_on_the_window(field, no_m, monkeypatch):
 
         groebner._memo.clear()
         monkeypatch.setattr(groebner, "buchberger", counted)
-        monkeypatch.setattr(reductions, "buchberger", counted)
+        monkeypatch.setattr(rees, "buchberger", counted)
         x, ideals = window_case(field, no_m)
         fc_check_element(x, ideals, 0, window)
         monkeypatch.undo()

@@ -208,3 +208,17 @@ def test_no_product_with_a_power_of_i(monkeypatch):
     cert = is_reduction(J, I)
     assert (cert.verdict, cert.n_witness) == ("REDUCTION", 2)
     assert products and all(other is m for other in products)
+
+
+def test_search_reads_minimality_off_the_fiber_cone(monkeypatch):
+    # on homogeneous I a candidate's minimality is the rank of its linear
+    # forms in I/mI, so the search takes no minimal basis of a candidate
+    S = _algebra(("x", "y", "z"), PrimeField(32003))
+    x, y, z = S.gens()
+    I = AlgIdeal(S, [x * x, y * y, z * z, x * y, y * z])
+    expected, _ = find_minimal_reduction(I)
+    calls = []
+    monkeypatch.setattr(reductions, "minimal_basis", lambda J: calls.append(J))
+    J, cert = find_minimal_reduction(AlgIdeal(S, I.gens))
+    assert calls == []
+    assert J.gens == expected.gens and cert.ok

@@ -22,9 +22,13 @@ from reference_multigraded import (
 from gradmult import QQ, PolyIdeal, PrimeField, poly_ring
 from gradmult.hilbert import BlockSeries, _numerator, multigraded_numerator
 from gradmult.monomials import minimal_monomials
-from gradmult.reductions import _rees_series
+from gradmult.rees import multi_rees
 
 FIELDS = [PrimeField(2), PrimeField(3), PrimeField(32003), PrimeField(2147483647), QQ]
+
+
+def rees_series(base, blocks):
+    return multi_rees(base, blocks).series()
 
 
 def presentations(field, rng):
@@ -33,13 +37,13 @@ def presentations(field, rng):
     ring = poly_ring(("x", "y", "z"), field)
     x, y, z = ring.gens()
     cusp = PolyIdeal(ring, (y * y * z - x**3,))
-    yield "cusp", _rees_series(cusp, [[x * x, y * z, z], [y + c * x]])
-    yield "cusp over x", _rees_series(cusp.plus(PolyIdeal(ring, (y + c * x,))), [[x * x, y * z, z]])
+    yield "cusp", rees_series(cusp, [[x * x, y * z, z], [y + c * x]])
+    yield "cusp over x", rees_series(cusp.plus(PolyIdeal(ring, (y + c * x,))), [[x * x, y * z, z]])
     planes = PolyIdeal(ring, (x * y,))
-    yield "two planes", _rees_series(planes, [[x * x, z + c * y], [x * x]])
+    yield "two planes", rees_series(planes, [[x * x, z + c * y], [x * x]])
     plane = poly_ring(("x", "y"), field)
     X, Y = plane.gens()
-    yield "plane", _rees_series(PolyIdeal(plane, ()), [[X**3, X * Y, Y * Y]])
+    yield "plane", rees_series(PolyIdeal(plane, ()), [[X**3, X * Y, Y * Y]])
 
 
 def block_degrees(series, top):
