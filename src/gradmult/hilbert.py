@@ -14,7 +14,7 @@ monomial ideal over prod_i (1 - z^deg v_i) (multigraded_numerator).
 BlockSeries reads off it, for k[x, T]/(leads) with T in weighted blocks, the
 series in one variable t at one block multidegree, over (1 - t)^n,
 counting only the monomials of x-degree at least c, and the number of
-monomials of one block multidegree and one x-degree.
+monomials of one block multidegree, at one x-degree or at all of them.
 """
 
 import functools
@@ -364,6 +364,26 @@ class BlockSeries:
     def layer(self, b, a):
         """The number of standard monomials of block degree b and x-degree a."""
         return sum(self._x_degree(self._grid(b), a).values())
+
+    def count(self, b):
+        """The number of standard monomials of block degree b, all x-degrees.
+
+        The numerator of slice(b) is divided by (1 - t)^n as prefix sums; the
+        quotient is the series itself, a polynomial when the count is finite,
+        so a nonzero last prefix sum means infinitely many and raises
+        ArithmeticError.
+        """
+        num = self.slice(b)
+        for _ in range(self.n):
+            acc = 0
+            for i, v in enumerate(num):
+                acc += v
+                num[i] = acc
+            if acc:
+                raise ArithmeticError(
+                    f"infinitely many standard monomials at block degree {tuple(b)}"
+                )
+        return sum(num)
 
     def slice(self, b, c=0):
         """Numerator over (1 - t)^n of sum_t h_t t^t, where h_t counts the

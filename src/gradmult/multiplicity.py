@@ -2,17 +2,20 @@
 
 The oracle takes d-th finite differences of colengths over a window and
 demands a terminal run of three equal values, so enlarging a stabilized
-window can never change the answer.
+window can never change the answer.  The Samuel oracle reads every colength
+l(S/q^n) off one basis of the associated graded ring gr_q(S).
 """
 
 from dataclasses import dataclass
 
-from .algebra import minimal_basis
+from .algebra import AlgIdeal, minimal_basis
 from .degseq import degree_sequence
 from .errors import HypothesisFail, Inconclusive, NoStabilization
-from .groebner import INFINITE
-from .hilbert import hilbert_data
+from .groebner import INFINITE, PolyIdeal
+from .hilbert import BlockSeries, hilbert_data
+from .polynomials import map_vars
 from .reductions import is_reduction
+from .rees import multi_rees
 
 
 @dataclass
@@ -90,13 +93,45 @@ def adic_lengths(ideal):
     return lambda k: sum(map(hf, range(k)))
 
 
+def _associated_graded(q):
+    """BlockSeries of k[x, T]/(L + (g)) = gr_q(S), for samuel_oracle."""
+    algebra = q.algebra
+    n = algebra.ring.n
+    gens = [g.rep for g in AlgIdeal(algebra, q.lift.groebner()).gens]
+    rees = multi_rees(algebra.defining, [gens])
+    ring = rees.ideal.ring
+    lifted = tuple(map_vars(g, ring, range(n)) for g in gens)
+    graded = PolyIdeal(ring, rees.ideal.groebner() + lifted)
+    return BlockSeries(graded.leading_monomials(), n, rees.blocks)
+
+
 def samuel_oracle(q, window=None):
-    """e(q; S) by colengths of q^n over the window and d-th differences."""
+    """e(q; S) by the colengths l(S/q^n) over the window and d-th differences.
+
+    The colengths come off one basis of gr_q(S) = sum_k q^k/q^(k+1), not
+    one per power of q.  Let g be the nonzero residues mod P of GB(P + q),
+    which generate q, and S[q t] = k[x, T]/L, T_j -> g_j t, the Rees algebra
+    (rees.multi_rees).  Then S[q t]/q S[q t] = gr_q(S), and q S[q t] is the
+    image of (g), so gr_q(S) = k[x, T]/(L + (g)) with q^k/q^(k+1) its piece
+    of T-degree k.  L and (g) are homogeneous for the T-degree, hence so is
+    the reduced basis of L + (g), in any term order and whether or not q is
+    homogeneous, and normal forms keep the T-degree: the standard monomials
+    of T-degree k are a basis of q^k/q^(k+1).  So
+    l(S/q^n) = sum_(k<n) dim q^k/q^(k+1), each term a BlockSeries.count.
+    """
     if not q.is_proper() or q.is_zero():
         raise ValueError("oracle needs a proper nonzero ideal")
     if q.lift.k_dimension() is INFINITE:
         raise ValueError("oracle needs an m-primary ideal")
-    return windowed_oracle(q.algebra.dim, window, 0, lambda n: colength(q.power(n)))
+    graded = _associated_graded(q)
+    sums = [0]
+
+    def length(n):
+        while len(sums) <= n:
+            sums.append(sums[-1] + graded.count((len(sums) - 1,)))
+        return sums[n]
+
+    return windowed_oracle(q.algebra.dim, window, 0, length)
 
 
 def samuel_fastpath_general(xs):

@@ -3,8 +3,9 @@
 multi_rees presents (R/base)[I_1 t_1, .., I_r t_r] as k[x, T]/L, T_kj ->
 g_kj t_k, in a weight order that compares w = sum deg(g_kj) beta_kj on
 x^alpha T^beta first.  It serves rees_presentation (the Rees oracle and the
-fiber cone of reductions._fiber_cone), the weak-FC check (reductions._ReesFc1)
-and the Bhattacharya table (mixed_rees).
+fiber cone of reductions._fiber_cone), the weak-FC check (reductions._ReesFc1),
+the Bhattacharya table (mixed_rees) and the Samuel oracle's gr_q(S)
+(multiplicity.samuel_oracle).
 
 Counting.  For homogeneous base and g_kj, L is homogeneous for the degree
 t = |alpha| + w and the block degrees, and its piece of block degree n is
