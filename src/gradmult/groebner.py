@@ -18,7 +18,6 @@ from .monomials import (
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
 )
 from .polynomials import Polynomial, map_vars
 
@@ -36,45 +35,87 @@ def s_polynomial(f, g):
     return a - b
 
 
+def _reduce(f, reducers, field, quotient=None):
+    """Heap reduction of the nonzero f by packed views (Polynomial.packed).
+
+    Monagan–Pearce (2007): the live terms sit in a dict keyed by rev_key,
+    and their keys on a heap, so the largest term is popped in O(log n) and
+    each term is keyed once, when it first appears.  A popped term is
+    reduced by the first reducer whose lead divides it, or kept.  Returns
+    the kept terms as (packed, coefficient) in decreasing order; each
+    reduction step's (packed multiplier, factor) is appended to quotient
+    when it is given.  None means that no term was reduced, so f is its own
+    remainder.  A product that reaches the packing guard bit raises
+    ArithmeticError.
+    """
+    mask = f.ring.order.packing.mask
+    submul, fdiv = field.submul, field.div
+    lk, lp, lc, tail = f.packed()
+    work = {lk: lc}
+    packs = {lk: lp}
+    for k, p, c in tail:
+        work[k] = c
+        packs[k] = p
+    heap = list(work)
+    heapify(heap)
+    out = []
+    reduced = False
+    while heap:
+        k = heappop(heap)
+        c = work.pop(k)
+        p = packs.pop(k)
+        if not c:
+            continue  # cancelled after it was pushed
+        for gk, gp, gc, gtail in reducers:
+            if not (p - gp) & mask:
+                break
+        else:
+            out.append((p, c))
+            continue
+        reduced = True
+        factor = fdiv(c, gc)
+        uk, up = k - gk, p - gp
+        if quotient is not None:
+            quotient.append((up, factor))
+        for tk, tp, tc in gtail:
+            k2 = tk + uk
+            v = work.get(k2)
+            if v is None:
+                p2 = tp + up
+                if p2 & mask:
+                    raise ArithmeticError("a product exponent reaches the packing guard bit")
+                packs[k2] = p2
+                heappush(heap, k2)
+                v = 0
+            work[k2] = submul(v, factor, tc)
+    return out if reduced else None
+
+
+def _from_packed(ring, terms):
+    """The polynomial of (packed, coefficient) terms in decreasing order."""
+    unpack = ring.order.packing.unpack
+    poly = Polynomial(ring, {unpack(p): c for p, c in terms})
+    if terms:
+        poly._lead = unpack(terms[0][0])
+    return poly
+
+
 def normal_form(f, basis):
     """Fully reduce f by the basis: no remaining term is divisible by any lead.
 
     Reducer choice is the first basis element (in given order) whose lead
     divides the current term, so the result is deterministic for a fixed basis.
+    The reduction runs on packed monomials with a heap of live terms
+    (_reduce); the basis elements' packed views stay cached on them.  An
+    exponent at the packing guard bit raises ArithmeticError.
     """
-    reducers = [(g.leading_monomial(), g) for g in basis if g.coeffs]
-    if not reducers or not f.coeffs:
+    if not f.coeffs:
         return f
-    ring = f.ring
-    field = ring.field
-    fsub, fmul, fdiv = field.sub, field.mul, field.div
-    okey = ring.order.key
-    work = dict(f.coeffs)
-    out = {}
-    while work:
-        m = max(work, key=okey)
-        c = work.pop(m)
-        g = None
-        for lm, cand in reducers:
-            if mono_divides(lm, m):
-                g = cand
-                glm = lm
-                break
-        if g is None:
-            out[m] = c
-            continue
-        u = mono_div(m, glm)
-        factor = fdiv(c, g.coeffs[glm])
-        for e, gc in g.coeffs.items():
-            if e == glm:
-                continue
-            e2 = mono_mul(e, u)
-            v = fsub(work.get(e2, 0), fmul(factor, gc))
-            if v == 0:
-                work.pop(e2, None)
-            else:
-                work[e2] = v
-    return Polynomial(ring, out)
+    reducers = [g.packed() for g in basis if g.coeffs]
+    if not reducers:
+        return f
+    out = _reduce(f, reducers, f.ring.field)
+    return f if out is None else _from_packed(f.ring, out)
 
 
 # Reduced bases by exact input.  Orders are global, so the reduced basis of
@@ -224,32 +265,15 @@ def _reduced_basis(polys):
 
 
 def exact_quotient(f, b):
-    """f / b for f in the principal ideal (b)."""
+    """f / b for f in the principal ideal (b), by the heap reduction of normal_form."""
     ring = f.ring
-    field = ring.field
-    lb = b.leading_monomial()
-    cb = b.coeffs[lb]
-    work = dict(f.coeffs)
-    okey = ring.order.key
-    quot = {}
-    while work:
-        m = max(work, key=okey)
-        c = work.pop(m)
-        if not mono_divides(lb, m):
-            raise ValueError("not an exact multiple")
-        u = mono_div(m, lb)
-        factor = field.div(c, cb)
-        quot[u] = factor
-        for e, gc in b.coeffs.items():
-            if e == lb:
-                continue
-            e2 = mono_mul(e, u)
-            v = field.sub(work.get(e2, 0), field.mul(factor, gc))
-            if v == 0:
-                work.pop(e2, None)
-            else:
-                work[e2] = v
-    return Polynomial(ring, quot)
+    if not f.coeffs:
+        return f
+    quotient = []
+    remainder = _reduce(f, [b.packed()], ring.field, quotient)
+    if remainder is None or remainder:
+        raise ValueError("not an exact multiple")
+    return _from_packed(ring, quotient)
 
 
 def eliminate_into(gens, drop, ring):
@@ -452,13 +476,28 @@ class PolyIdeal:
         return result
 
     def saturate(self, other):
-        """(self : other^infinity); the loop exits only once one more colon is stable."""
-        cur = self
-        while True:
-            nxt = cur.colon(other)
-            if nxt.equals(cur):
-                return cur
-            cur = nxt
+        """(self : other^infinity), the intersection over the generators b of
+        other of self : b^infinity = (self + (1 - u b)) cap k[x].
+
+        Rabinowitsch's trick (Greuel–Pfister, A Singular Introduction to
+        Commutative Algebra, 1.8): one elimination of a fresh u per
+        generator, no colon and no fixpoint test.  Saturating by the zero
+        ideal gives the unit ideal.
+        """
+        self._check_ring(other)
+        ring = self.ring
+        n = ring.n
+        uring = ring.extended(
+            (_fresh_name(ring.names, "u"),), MonomialOrder.elimination(n + 1, (n,))
+        )
+        pos = tuple(range(n))
+        one, u = uring.one(), uring.var(n)
+        base = [map_vars(g, uring, pos) for g in self.groebner()]
+        result = PolyIdeal.unit(ring)
+        for k, b in enumerate(other.gens):
+            part = eliminate_into(base + [one - u * map_vars(b, uring, pos)], (n,), ring)
+            result = part if k == 0 else result.intersect(part)
+        return result
 
     def eliminate(self, drop):
         """Generators of self `intersect` k[remaining variables], as an ideal of the same ring."""

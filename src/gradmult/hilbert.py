@@ -293,7 +293,8 @@ class BlockSeries:
     (x-degree, weight, block degrees).  Then come the blocks in order: a
     variable of weight w in block k has degree (0, w, e_k).  The numerator
     terms are grouped by block degree once, and the (x-degree, weight)
-    numerator at a block degree is built once, when first asked for.
+    numerator at a block degree and the weights of a block's monomials of one
+    degree are each built once, when first asked for.
     """
 
     def __init__(self, leads, n, blocks):
@@ -309,17 +310,21 @@ class BlockSeries:
         for d, c in multigraded_numerator(self.leads, degrees).items():
             self._terms.setdefault(d[2:], []).append((d[0], d[1], c))
         self._grids = {}
+        self._weights = {}
 
     def _block_weights(self, k, d):
-        """{weight: count} of the degree-d monomials in block k's variables."""
-        table = [{0: 1}] + [{} for _ in range(d)]
-        for w in self.blocks[k]:
-            # a monomial of degree e misses this variable or is it times one of degree e - 1
-            for e in range(1, d + 1):
-                row = table[e]
-                for v, c in table[e - 1].items():
-                    row[v + w] = row.get(v + w, 0) + c
-        return table[d]
+        """{weight: count} of the degree-d monomials in block k's variables,
+        built once per (k, d)."""
+        if (k, d) not in self._weights:
+            table = [{0: 1}] + [{} for _ in range(d)]
+            for w in self.blocks[k]:
+                # a monomial of degree e misses this variable or is it times one of degree e - 1
+                for e in range(1, d + 1):
+                    row = table[e]
+                    for v, c in table[e - 1].items():
+                        row[v + w] = row.get(v + w, 0) + c
+            self._weights[(k, d)] = table[d]
+        return self._weights[(k, d)]
 
     def _grid(self, b):
         """{(x-degree, weight): coefficient}: the numerator over (1 - z)^n, z

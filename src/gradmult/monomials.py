@@ -1,6 +1,17 @@
-"""Monomials as bare exponent tuples, plus the global orders the kernel supports."""
+"""Monomials as bare exponent tuples, plus the global orders the kernel supports.
 
+Normal forms reduce on packed monomials: an exponent vector packed into one
+int (Packing), and an int reversed key from the order (MonomialOrder.rev_key),
+both linear in the exponents, so a product of monomials is one int add.
+"""
+
+import functools
+import struct
 from operator import mul
+
+FIELD_BITS = 32
+# the top bit of each packed field is a guard: exponents stay below it
+EXP_LIMIT = 1 << (FIELD_BITS - 1)
 
 
 def mono_mul(a, b):
@@ -57,6 +68,80 @@ def monomials_up_to(n, cap):
     return out
 
 
+class Packing:
+    """Exponent vectors of n variables packed into one int, variable i in
+    bits FIELD_BITS * i up to FIELD_BITS * (i + 1).
+
+    With every exponent below EXP_LIMIT, a product is the sum of the packed
+    ints, and a divides b exactly when (b - a) & mask is 0: a field of b
+    below that of a borrows, which sets its guard bit.  A product whose sum
+    has a guard bit set has left the packable range.
+    """
+
+    __slots__ = ("mask", "_struct", "_width")
+
+    def __init__(self, n):
+        self.mask = sum(EXP_LIMIT << (FIELD_BITS * i) for i in range(n))
+        self._struct = struct.Struct(f"<{n}I")
+        self._width = FIELD_BITS // 8 * n
+
+    def pack(self, e):
+        if max(e) >= EXP_LIMIT:
+            raise ArithmeticError(f"exponent {max(e)} reaches the packing guard bit")
+        return int.from_bytes(self._struct.pack(*e), "little")
+
+    def unpack(self, p):
+        return self._struct.unpack(p.to_bytes(self._width, "little"))
+
+
+@functools.lru_cache(maxsize=None)
+def packing(n):
+    """The one Packing of n variables."""
+    return Packing(n)
+
+
+def _order_rows(kind, n, block, weights):
+    """Integer rows whose dot products with m, compared in turn, are the
+    order's key(m): a block compares its degree, then its exponents in
+    reverse, negated (degrevlex); a weight row comes first without a block,
+    after the block with one."""
+
+    def degree(idx):
+        return [tuple(int(i in idx) for i in range(n))]
+
+    def revlex(idx):
+        return [tuple(-int(i == j) for i in range(n)) for j in reversed(idx)]
+
+    everything = tuple(range(n))
+    rest = tuple(i for i in everything if i not in block)
+    if kind == "degrevlex":
+        return degree(everything) + revlex(everything)
+    if kind == "block":
+        return degree(block) + revlex(block) + degree(rest) + revlex(rest)
+    if not block:
+        return [weights] + degree(everything) + revlex(everything)
+    return degree(block) + revlex(block) + [weights] + degree(rest) + revlex(rest)
+
+
+@functools.lru_cache(maxsize=None)
+def _rev_weights(kind, n, block, weights):
+    """c with sum(c_i m_i) < sum(c_i m'_i) exactly when m > m' in the order,
+    for exponents below EXP_LIMIT.
+
+    The key's rows become digits of one int in base 2^bits, the first row
+    most significant.  Each row's value is below half the base in absolute
+    value, so comparing the ints compares the digit tuples.
+    """
+    rows = _order_rows(kind, n, block, weights)
+    bound = max(sum(abs(v) for v in row) for row in rows) * (EXP_LIMIT - 1)
+    bits = bound.bit_length() + 1
+    r = len(rows)
+    return tuple(
+        -sum(row[i] << (bits * (r - 1 - k)) for k, row in enumerate(rows))
+        for i in range(n)
+    )
+
+
 def _degrevlex_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))
 
@@ -108,9 +193,13 @@ class MonomialOrder:
     weights first and breaks ties by degrevlex; with an eliminated block (of
     weight zero) it compares that block first, by degrevlex, and then the
     other variables by the weight order.
+
+    rev_key(m) is one int, smaller for larger monomials and linear in m, so
+    rev_key(a * b) = rev_key(a) + rev_key(b); it is exact for exponents
+    below EXP_LIMIT, the range of packing, the order's Packing.
     """
 
-    __slots__ = ("kind", "n", "block", "weights", "key")
+    __slots__ = ("kind", "n", "block", "weights", "key", "packing", "_rev")
 
     def __init__(self, kind, n, block=(), weights=()):
         if kind not in ("degrevlex", "block", "weight"):
@@ -139,6 +228,11 @@ class MonomialOrder:
             if any(self.weights[i] for i in self.block):
                 raise ValueError("eliminated variables carry no weight")
             self.key = _weight_key(self.block, rest, self.weights)
+        self.packing = packing(n)
+        self._rev = _rev_weights(kind, n, self.block, self.weights)
+
+    def rev_key(self, m):
+        return sum(map(mul, m, self._rev))
 
     @classmethod
     def degrevlex(cls, n):

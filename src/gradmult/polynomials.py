@@ -2,7 +2,9 @@
 
 A Polynomial owns a dict mapping exponent tuples to nonzero field scalars.
 Term order only matters at the surface (leading data, display), so arithmetic
-is plain dict merging; ordered views are produced on demand.
+is plain dict merging; ordered views are produced on demand.  Normal forms
+read a polynomial through its packed view (Polynomial.packed), cached on
+first use.
 """
 
 from .monomials import MonomialOrder, mono_degree, mono_mul
@@ -88,13 +90,14 @@ class PolyRing:
 
 
 class Polynomial:
-    __slots__ = ("ring", "coeffs", "_lead")
+    __slots__ = ("ring", "coeffs", "_lead", "_packed")
 
     def __init__(self, ring, coeffs):
         # takes ownership of coeffs; zero values must already be gone
         self.ring = ring
         self.coeffs = coeffs
         self._lead = None
+        self._packed = None
 
     # -- structure -----------------------------------------------------------
 
@@ -132,6 +135,19 @@ class Polynomial:
         if self._lead is None:
             self._lead = max(self.coeffs, key=self.ring.order.key)
         return self._lead
+
+    def packed(self):
+        """(lead rev key, lead packed, lead coefficient, tail) of a nonzero
+        polynomial, tail a tuple of (rev key, packed, coefficient) of the
+        other terms: monomials as the ring order's rev_key and as its
+        packing's ints.  Built once and cached; raises ArithmeticError when
+        an exponent reaches the packing guard bit."""
+        if self._packed is None:
+            order = self.ring.order
+            rev_key, pack = order.rev_key, order.packing.pack
+            terms = sorted([(rev_key(e), pack(e), c) for e, c in self.coeffs.items()])
+            self._packed = terms[0] + (tuple(terms[1:]),)
+        return self._packed
 
     def leading_coeff(self):
         return self.coeffs[self.leading_monomial()]
@@ -195,7 +211,9 @@ class Polynomial:
         if c == 0:
             return self.ring.zero()
         fmul = self.ring.field.mul
-        return Polynomial(self.ring, {e: fmul(v, c) for e, v in self.coeffs.items()})
+        out = Polynomial(self.ring, {e: fmul(v, c) for e, v in self.coeffs.items()})
+        out._lead = self._lead
+        return out
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):

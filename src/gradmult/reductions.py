@@ -392,7 +392,9 @@ def _fc_check_on_lift(base, x, gen_lists, slot, window):
     """FC2 and windowed FC1 for the element x over the given base lift.
 
     x must lie in its slot ideal modulo base.  With ann = base : x, FC2 is
-    ann contained in sat, the saturation of base by the product of the ideals.
+    ann contained in sat, the saturation of base by the product of the ideals,
+    taken as base saturated by each ideal in turn:
+    base : (K_1 K_2)^infinity = (base : K_1^infinity) : K_2^infinity.
     At a window tuple n, with K_n the product (base included), B = K_(n+e_slot)
     and A = base + x, FC1 asks A cap B = base + x K_n.
 
@@ -426,9 +428,9 @@ def _fc_check_on_lift(base, x, gen_lists, slot, window):
     is the cached K_n.
     """
     ring = base.ring
-    cache = _ProductCache(ring, base.gens, gen_lists)
-    all_ones = tuple(1 for _ in gen_lists)
-    sat = base.saturate(PolyIdeal(ring, cache.ideal(all_ones).groebner()))
+    sat = base
+    for gl in gen_lists:
+        sat = sat.saturate(PolyIdeal(ring, tuple(gl)))
     if sat.is_unit():
         raise ValueError("product of the ideals is nilpotent modulo the base")
     ann = base.colon(x.rep)
@@ -441,6 +443,8 @@ def _fc_check_on_lift(base, x, gen_lists, slot, window):
     if homogeneous:
         fc1 = _ReesFc1(base, x.rep, gen_lists, slot).holds
     else:
+        cache = _ProductCache(ring, base.gens, gen_lists)
+
         def fc1(exps):
             return _fc1_colon(cache, ann, x.rep, slot, exps)
     counter = next((exps for exps in window.tuples(len(gen_lists), slot) if not fc1(exps)), None)

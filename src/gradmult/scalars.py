@@ -67,6 +67,10 @@ class PrimeField:
     def mul(self, a, b):
         return a * b % self.p
 
+    def submul(self, a, b, c):
+        """a - b * c."""
+        return (a - b * c) % self.p
+
     def neg(self, a):
         return -a % self.p
 
@@ -118,6 +122,10 @@ class RationalField:
 
     def mul(self, a, b):
         return a * b
+
+    def submul(self, a, b, c):
+        """a - b * c."""
+        return a - b * c
 
     def neg(self, a):
         return -a

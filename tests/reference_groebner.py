@@ -1,18 +1,78 @@
-"""The chain-criterion Buchberger core that `groebner._reduced_basis` replaced,
-kept as the reference oracle for the Gebauer–Möller pair update, plus an
-independent Groebner-basis certificate that never calls `buchberger`."""
+"""Replaced Groebner routes, kept as reference oracles.
+
+- The chain-criterion Buchberger core that `groebner._reduced_basis`
+  replaced, the oracle for the Gebauer–Möller pair update.
+- The normal form on exponent tuples that the heap reduction on packed
+  monomials (`groebner.normal_form`) replaced; the reference core reduces
+  with it, so it does not depend on the new one.
+- The colon loop that Rabinowitsch's saturation (`PolyIdeal.saturate`)
+  replaced.
+- An independent Groebner-basis certificate that never calls `buchberger`.
+"""
 
 import itertools
 from heapq import heappop, heappush
 
-from gradmult.groebner import normal_form, s_polynomial
+from gradmult import Polynomial
+from gradmult.groebner import s_polynomial
 from gradmult.monomials import (
     minimal_monomials,
     mono_coprime,
     mono_div,
     mono_divides,
     mono_lcm,
+    mono_mul,
 )
+
+
+def reference_normal_form(f, basis):
+    """Fully reduce f by the basis, on exponent tuples: the largest live term
+    is found by rescanning every term's order key at each step, and the
+    reducer is the first basis element whose lead divides it."""
+    reducers = [(g.leading_monomial(), g) for g in basis if g.coeffs]
+    if not reducers or not f.coeffs:
+        return f
+    ring = f.ring
+    field = ring.field
+    fsub, fmul, fdiv = field.sub, field.mul, field.div
+    okey = ring.order.key
+    work = dict(f.coeffs)
+    out = {}
+    while work:
+        m = max(work, key=okey)
+        c = work.pop(m)
+        g = None
+        for lm, cand in reducers:
+            if mono_divides(lm, m):
+                g = cand
+                glm = lm
+                break
+        if g is None:
+            out[m] = c
+            continue
+        u = mono_div(m, glm)
+        factor = fdiv(c, g.coeffs[glm])
+        for e, gc in g.coeffs.items():
+            if e == glm:
+                continue
+            e2 = mono_mul(e, u)
+            v = fsub(work.get(e2, 0), fmul(factor, gc))
+            if v == 0:
+                work.pop(e2, None)
+            else:
+                work[e2] = v
+    return Polynomial(ring, out)
+
+
+def reference_saturate(ideal, other):
+    """(ideal : other^infinity) by colons by other until one more colon is
+    stable; other must be nonzero."""
+    cur = ideal
+    while True:
+        nxt = cur.colon(other)
+        if nxt.equals(cur):
+            return cur
+        cur = nxt
 
 
 def reference_reduced_basis(polys):
@@ -71,7 +131,7 @@ def reference_reduced_basis(polys):
         done.add(key)
         if chained:
             continue
-        r = normal_form(s_polynomial(G[i], G[j]), G)
+        r = reference_normal_form(s_polynomial(G[i], G[j]), G)
         if r.coeffs:
             G.append(r.monic())
             leads.append(r.leading_monomial())
@@ -91,7 +151,7 @@ def reference_reduced_basis(polys):
         changed = False
         for idx in range(len(kept)):
             rest = kept[:idx] + kept[idx + 1:]
-            r = normal_form(kept[idx], rest)
+            r = reference_normal_form(kept[idx], rest)
             if r.coeffs != kept[idx].coeffs:
                 kept[idx] = r.monic()
                 changed = True

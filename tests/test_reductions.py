@@ -138,24 +138,29 @@ def test_fc_check_element_saturates_once(hyper, monkeypatch):
 
 def test_fc_check_element_homogeneous_fc1_intersects_nothing(hyper, monkeypatch):
     # on homogeneous input FC1 compares Hilbert series, so every intersection
-    # left belongs to a colon: the annihilator base : x and the saturation
-    inside_colon = [0]
+    # left belongs to the annihilator base : x (a colon) or to FC2's
+    # saturation, which intersects one elimination per generator
+    inside = [0]
     outside = []
-    colon, intersect = PolyIdeal.colon, PolyIdeal.intersect
+    colon, saturate, intersect = PolyIdeal.colon, PolyIdeal.saturate, PolyIdeal.intersect
 
-    def counted_colon(self, other):
-        inside_colon[0] += 1
-        try:
-            return colon(self, other)
-        finally:
-            inside_colon[0] -= 1
+    def counted(method):
+        def run(self, other):
+            inside[0] += 1
+            try:
+                return method(self, other)
+            finally:
+                inside[0] -= 1
+
+        return run
 
     def counted_intersect(self, other):
-        if not inside_colon[0]:
+        if not inside[0]:
             outside.append(other)
         return intersect(self, other)
 
-    monkeypatch.setattr(PolyIdeal, "colon", counted_colon)
+    monkeypatch.setattr(PolyIdeal, "colon", counted(colon))
+    monkeypatch.setattr(PolyIdeal, "saturate", counted(saturate))
     monkeypatch.setattr(PolyIdeal, "intersect", counted_intersect)
     x, y, z = hyper.gens()
     m = AlgIdeal(hyper, [x, y, z])
