@@ -13,7 +13,6 @@ counts.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .algebra import AlgIdeal, minimal_basis
 from .groebner import INFINITE, PolyIdeal
@@ -33,11 +32,10 @@ def _order_counts(ideal):
     minimal basis of I, and the Artin-Rees stop is the length of the list.
 
     The c_n are the coefficients of the polynomial
-    HS(R/cone(P + mI)) - HS(R/cone(P + I)), the difference of the two
-    numerators over (1-t)^n divided by (1-t)^n.  Proof.  Let
-    F_n = (I meet m^n + mI)/mI.  I/mI is killed by m, so it and its
-    subspaces F_n equal their localisations at the origin: the global and
-    the local readings agree.  The degree-n pieces of the two cones are the
+    HS(R/cone(P + mI)) - HS(R/cone(P + I)) (hilbert.series_difference).
+    Proof.  Let F_n = (I meet m^n + mI)/mI.  I/mI is killed by m, so it and
+    its subspaces F_n equal their localisations at the origin: the global
+    and the local readings agree.  The degree-n pieces of the two cones are the
     images of I meet m^n and of mI meet m^n in m^n/m^(n+1).  The maps from
     I meet m^n onto the quotient of those pieces and onto F_n/F_(n+1) have
     one kernel, I meet m^(n+1) + mI meet m^n, so c_n = dim F_n - dim F_(n+1).
@@ -61,13 +59,7 @@ def _order_counts(ideal):
     # stands in for the longer generating set in the product with m
     cone = ideal.lift.tangent_cone()
     shrunk = ideal.times(ideal.algebra.irrelevant_ideal()).lift.tangent_cone()
-    counts = series_difference(((shrunk, 0),), ((cone, 0),))
-    for _ in range(ideal.algebra.ring.n):
-        # division by 1 - t: the prefix sums, the last of which must vanish
-        counts = list(accumulate(counts))
-        if counts and counts.pop():
-            raise ArithmeticError("the cones of I and mI differ in infinitely many degrees")
-    return counts
+    return series_difference(shrunk, cone)
 
 
 def _initial_generators(ideal, stop):

@@ -1,27 +1,29 @@
 """Hilbert series read off the leading ideal: homogeneous quotients, colengths
 and Krull dimensions.
 
-The numerator over (1-t)^n is computed from the monomial leading ideal by
-Bigatti's pivot recursion (Bigatti 1997; Bayer-Stillman 1992): split on a
-power p^k of a most-frequent variable p, using
-N(I) = N(I + p^k) + t^k * N(I : p^k), where k is the lower median of the
-positive exponents of p.  Two closed forms end the recursion: generators
-with pairwise-coprime supports (a complete intersection), and generators in
-at most two variables, whose staircase resolution is read off directly.
+Every numerator is computed from a monomial ideal by Bigatti's pivot
+recursion (Bigatti 1997; Bayer-Stillman 1992) with vector degrees
+(multigraded_numerator): split on a power p^k of a most-frequent variable
+p, using N(I) = N(I + p^k) + z^(k deg p) * N(I : p^k), where k is the lower
+median of the positive exponents of p.  Two closed forms end the
+recursion: generators with pairwise-coprime supports (a complete
+intersection), and generators in at most two variables, whose staircase
+resolution is read off directly.  The series of k[x_1..x_n]/(leads) in
+one variable t is the grading with every degree 1 (leading_series).
 
-The same recursion with vector degrees gives the multigraded numerator of a
-monomial ideal over prod_i (1 - z^deg v_i) (multigraded_numerator).
-BlockSeries reads off it, for k[x, T]/(leads) with T in weighted blocks, the
-series in one variable t at one block multidegree, over (1 - t)^n,
-counting only the monomials of x-degree at least c, and the number of
-monomials of one block multidegree, at one x-degree or at all of them.
+BlockSeries reads off a multigraded numerator, for k[x, T]/(leads) with T
+in weighted blocks, the series in one variable t at one block multidegree,
+over (1 - t)^n, counting only the monomials of x-degree at least c, and the
+number of monomials of one block multidegree, at one x-degree or at all of
+them.
 """
 
 import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .monomials import minimal_monomials
+from .monomials import minimal_monomials, mono_lcm
 
 
 def _poly_trim(a):
@@ -51,71 +53,18 @@ def _poly_mul(a, b):
     return _poly_trim(out)
 
 
-def _poly_shift(a, k):
-    return _poly_trim([0] * k + list(a))
+def _over_one_minus_t(num, k):
+    """num / (1-t)^k as a list, by k rounds of prefix sums.
 
-
-def _one_minus_tk(k):
-    out = [0] * (k + 1)
-    out[0] = 1
-    out[k] = -1
-    return out
-
-
-def _staircase_numerator(gens, a):
-    """Numerator for minimal generators in two variables, a being one of them.
-
-    Sorted by ascending exponent of a, the other exponent strictly descends,
-    and the consecutive lcms are the only syzygies:
-    1 - sum t^|g_i| + sum t^|lcm(g_i, g_(i+1))|.
+    The last prefix sum of a round is the remainder, num(1); a nonzero one
+    means the quotient is no polynomial, an infinite series, and raises
+    ArithmeticError.  A trimmed num gives a trimmed quotient.
     """
-    gens = sorted(gens, key=lambda m: m[a])
-    degrees = [sum(m) for m in gens]
-    lcms = [
-        sum(x if x > y else y for x, y in zip(g, h)) for g, h in zip(gens, gens[1:])
-    ]
-    out = [0] * (max(degrees + lcms) + 1)
-    out[0] = 1
-    for d in degrees:
-        out[d] -= 1
-    for d in lcms:
-        out[d] += 1
-    return _poly_trim(out)
-
-
-def _numerator(gens):
-    """Numerator over (1-t)^n for the monomial ideal with these minimal generators."""
-    if not gens:
-        return [1]
-    n = len(gens[0])
-    counts = [0] * n
-    for m in gens:
-        for i, e in enumerate(m):
-            if e:
-                counts[i] += 1
-    top = max(counts)
-    if top <= 1:
-        # supports pairwise disjoint: complete intersection of monomials
-        out = [1]
-        for m in gens:
-            out = _poly_mul(out, _one_minus_tk(sum(m)))
-        return out
-    support = [i for i, c in enumerate(counts) if c]
-    if len(support) <= 2:
-        return _staircase_numerator(gens, support[0])
-    p = counts.index(top)
-    exps = sorted(m[p] for m in gens if m[p])
-    # the lower median: at least two generators have p-exponent >= k, so
-    # fewer generators involve p in I + p^k, and fewer in I : p^k
-    k = exps[(len(exps) - 1) // 2]
-    # I + p^k needs no minimalising: a pure power of p would be the only
-    # generator with the largest p-exponent, above k, so no kept one divides p^k
-    plus_gens = [m for m in gens if m[p] < k]
-    plus_gens.append(tuple(k if i == p else 0 for i in range(n)))
-    colon_gens = minimal_monomials(
-        m[:p] + (max(m[p] - k, 0),) + m[p + 1:] for m in gens
-    )
-    return _poly_add(_numerator(plus_gens), _poly_shift(_numerator(colon_gens), k))
+    for _ in range(k):
+        num = list(accumulate(num))
+        if num and num.pop():
+            raise ArithmeticError("infinitely many nonzero terms: (1-t) leaves a remainder")
+    return num
 
 
 @dataclass(frozen=True)
@@ -152,15 +101,13 @@ def leading_series(leads, n):
     at 1.  The numerator is a tuple.  Memoised by (leads, n), which fix the
     answer exactly; the 1024 most recently used inputs are kept.
     """
-    num = _numerator(leads)
+    flat = {d: c for (d,), c in multigraded_numerator(leads, ((1,),) * n).items()}
+    num = [0] * (max(flat, default=-1) + 1)
+    for d, c in flat.items():
+        num[d] = c
     d = n
     while num and sum(num) == 0:
-        acc = 0
-        out = []
-        for v in num[:-1]:
-            acc += v
-            out.append(acc)
-        num = _poly_trim(out)
+        num = _over_one_minus_t(num, 1)
         d -= 1
     return tuple(num), d
 
@@ -180,30 +127,26 @@ def hilbert_data(ideal):
     return HilbertData(numerator=num, dimension=d, multiplicity=e)
 
 
-def _series_numerator(ideal):
-    """Numerator over (1-t)^n of the Hilbert series of ring/ideal; [] for the unit ideal."""
-    if ideal.is_unit():
-        return []
-    num, d = leading_series(ideal.leading_monomials(), ideal.ring.n)
-    out = list(num)
-    for _ in range(ideal.ring.n - d):
-        out = _poly_mul(out, [1, -1])
-    return out
+def series_difference(a, b):
+    """The polynomial HS(ring/a) - HS(ring/b), as a trimmed list, for
+    homogeneous ideals a and b of one ring whose series differ in finitely
+    many degrees; a unit ideal's series is zero.
 
-
-def series_difference(left, right):
-    """Numerator over (1-t)^n of the sum of t^k HS(ring/I) over the pairs
-    (I, k) in left, minus that sum over right, as a trimmed list.
-
-    All ideals are homogeneous ideals of one ring, so each series is that of
-    the leading ideal (Macaulay); unit ideals count as zero.
+    Each series is that of the leading ideal (Macaulay).  The numerators are
+    brought over (1-t)^n and their difference is divided by it, which
+    raises ArithmeticError when the series differ in infinitely many degrees.
     """
-    total = []
-    for ideal, k in left:
-        total = _poly_add(total, _poly_shift(_series_numerator(ideal), k))
-    for ideal, k in right:
-        total = _poly_add(total, [-v for v in _poly_shift(_series_numerator(ideal), k)])
-    return total
+    n = a.ring.n
+    diff = []
+    for ideal, sign in ((a, 1), (b, -1)):
+        if ideal.is_unit():
+            continue
+        num, d = leading_series(ideal.leading_monomials(), n)
+        num = [sign * v for v in num]
+        for _ in range(n - d):
+            num = _poly_mul(num, [1, -1])
+        diff = _poly_add(diff, num)
+    return _over_one_minus_t(diff, n)
 
 
 # -- multigraded series ------------------------------------------------------
@@ -238,10 +181,9 @@ def multigraded_numerator(gens, degrees):
     gens are the minimal generators of a monomial ideal and degrees[i] is the
     nonnegative degree vector of v_i, all of one length r.  The series is the
     returned numerator, {degree vector: nonzero coefficient}, over
-    prod_i (1 - z^degrees[i]).  It is _numerator with vector degrees: the
-    pivot N(I) = N(I + p^k) + z^(k deg p) N(I : p^k) and both closed forms
-    hold for any grading by monomials, their exact sequences and resolutions
-    being multigraded.
+    prod_i (1 - z^degrees[i]).  The pivot and both closed forms hold for any
+    grading by monomials, their exact sequences and resolutions being
+    multigraded.
     """
     zero = (0,) * len(degrees[0])
     if not gens:
@@ -254,6 +196,7 @@ def multigraded_numerator(gens, degrees):
                 counts[i] += 1
     top = max(counts)
     if top <= 1:
+        # supports pairwise disjoint: complete intersection of monomials
         out = {zero: 1}
         for m in gens:
             out = _mpoly_add(dict(out), {d: -c for d, c in out.items()}, _mono_degree(m, degrees))
@@ -265,13 +208,18 @@ def multigraded_numerator(gens, degrees):
         out = {zero: 1}
         for g in gens:
             _mpoly_add(out, {_mono_degree(g, degrees): -1})
+        # sorted by ascending exponent of a, the other exponent strictly
+        # descends, and the consecutive lcms are the only syzygies
         for g, h in zip(gens, gens[1:]):
-            lcm = tuple(x if x > y else y for x, y in zip(g, h))
-            _mpoly_add(out, {_mono_degree(lcm, degrees): 1})
+            _mpoly_add(out, {_mono_degree(mono_lcm(g, h), degrees): 1})
         return out
     p = counts.index(top)
     exps = sorted(m[p] for m in gens if m[p])
+    # the lower median: at least two generators have p-exponent >= k, so
+    # fewer generators involve p in I + p^k, and fewer in I : p^k
     k = exps[(len(exps) - 1) // 2]
+    # I + p^k needs no minimalising: a pure power of p would be the only
+    # generator with the largest p-exponent, above k, so no kept one divides p^k
     plus_gens = [m for m in gens if m[p] < k]
     plus_gens.append(tuple(k if i == p else 0 for i in range(n)))
     colon_gens = minimal_monomials(
@@ -373,22 +321,11 @@ class BlockSeries:
     def count(self, b):
         """The number of standard monomials of block degree b, all x-degrees.
 
-        The numerator of slice(b) is divided by (1 - t)^n as prefix sums; the
-        quotient is the series itself, a polynomial when the count is finite,
-        so a nonzero last prefix sum means infinitely many and raises
-        ArithmeticError.
+        The numerator of slice(b) is divided by (1 - t)^n; the quotient is
+        the series itself, a polynomial when the count is finite, so
+        infinitely many raise ArithmeticError.
         """
-        num = self.slice(b)
-        for _ in range(self.n):
-            acc = 0
-            for i, v in enumerate(num):
-                acc += v
-                num[i] = acc
-            if acc:
-                raise ArithmeticError(
-                    f"infinitely many standard monomials at block degree {tuple(b)}"
-                )
-        return sum(num)
+        return sum(_over_one_minus_t(self.slice(b), self.n))
 
     def slice(self, b, c=0):
         """Numerator over (1 - t)^n of sum_t h_t t^t, where h_t counts the

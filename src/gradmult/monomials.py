@@ -1,8 +1,10 @@
 """Monomials as bare exponent tuples, plus the global orders the kernel supports.
 
-Normal forms reduce on packed monomials: an exponent vector packed into one
-int (Packing), and an int reversed key from the order (MonomialOrder.rev_key),
-both linear in the exponents, so a product of monomials is one int add.
+Each order is one table of integer rows (_order_rows), folded into one int
+per monomial: MonomialOrder.key, and its negation rev_key.  Normal forms
+reduce on packed monomials: an exponent vector packed into one int
+(Packing) and its rev_key, both linear in the exponents, so a product of
+monomials is one int add.
 """
 
 import functools
@@ -101,10 +103,10 @@ def packing(n):
 
 
 def _order_rows(kind, n, block, weights):
-    """Integer rows whose dot products with m, compared in turn, are the
-    order's key(m): a block compares its degree, then its exponents in
-    reverse, negated (degrevlex); a weight row comes first without a block,
-    after the block with one."""
+    """Integer rows whose dot products with m, compared in turn, compare
+    monomials as the order does: a block compares its degree, then its
+    exponents in reverse, negated (degrevlex); a weight row comes first
+    without a block, after the block with one."""
 
     def degree(idx):
         return [tuple(int(i in idx) for i in range(n))]
@@ -142,64 +144,25 @@ def _rev_weights(kind, n, block, weights):
     )
 
 
-def _degrevlex_key(m):
-    return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def _block_key(block, rest):
-    def key(m):
-        hi = tuple(m[i] for i in block)
-        lo = tuple(m[i] for i in rest)
-        return (
-            sum(hi),
-            tuple(-e for e in reversed(hi)),
-            sum(lo),
-            tuple(-e for e in reversed(lo)),
-        )
-
-    return key
-
-
-def _weight_key(block, rest, weights):
-    if not block:
-        def key(m):
-            return (sum(map(mul, m, weights)), sum(m), tuple(-e for e in reversed(m)))
-
-        return key
-
-    def key(m):
-        hi = tuple(m[i] for i in block)
-        lo = tuple(m[i] for i in rest)
-        # the block carries no weight, so the dot product is that of lo
-        return (
-            sum(hi),
-            tuple(-e for e in reversed(hi)),
-            sum(map(mul, m, weights)),
-            sum(lo),
-            tuple(-e for e in reversed(lo)),
-        )
-
-    return key
-
-
 class MonomialOrder:
     """Global monomial order: degrevlex, a two-block elimination order, or a
     weight order.
 
-    Keys are tuples that compare the same way the order does, so sorting and
-    max() work directly; key is chosen once, when the order is made.  Block
-    orders put the eliminated variables first and use degrevlex inside each
-    block.  A weight order compares the dot product with nonnegative integer
-    weights first and breaks ties by degrevlex; with an eliminated block (of
-    weight zero) it compares that block first, by degrevlex, and then the
-    other variables by the weight order.
+    key(m) is one int that compares the same way the order does, so sorting
+    and max() work directly; like Packing.pack it raises ArithmeticError at
+    an exponent of EXP_LIMIT or more, where it would no longer be exact.
+    Block orders put the eliminated variables first and use degrevlex inside
+    each block.  A weight order compares the dot product with nonnegative
+    integer weights first and breaks ties by degrevlex; with an eliminated
+    block (of weight zero) it compares that block first, by degrevlex, and
+    then the other variables by the weight order.
 
-    rev_key(m) is one int, smaller for larger monomials and linear in m, so
-    rev_key(a * b) = rev_key(a) + rev_key(b); it is exact for exponents
-    below EXP_LIMIT, the range of packing, the order's Packing.
+    rev_key(m) = -key(m), smaller for larger monomials and linear in m, so
+    rev_key(a * b) = rev_key(a) + rev_key(b); it is unchecked, for callers
+    that pack m too (the order's Packing, packing).
     """
 
-    __slots__ = ("kind", "n", "block", "weights", "key", "packing", "_rev")
+    __slots__ = ("kind", "n", "block", "weights", "packing", "_rev")
 
     def __init__(self, kind, n, block=(), weights=()):
         if kind not in ("degrevlex", "block", "weight"):
@@ -210,16 +173,12 @@ class MonomialOrder:
         self.weights = tuple(weights)
         if any(i < 0 or i >= n for i in self.block):
             raise ValueError("elimination block must be a subset of the variables")
-        inblock = set(self.block)
-        rest = tuple(i for i in range(n) if i not in inblock)
         if kind == "degrevlex":
             if self.block or self.weights:
                 raise ValueError("degrevlex takes no block and no weights")
-            self.key = _degrevlex_key
         elif kind == "block":
             if not self.block or self.weights:
                 raise ValueError("elimination block must be a nonempty subset of the variables")
-            self.key = _block_key(self.block, rest)
         else:
             if len(self.weights) != n or any(
                 not isinstance(w, int) or w < 0 for w in self.weights
@@ -227,9 +186,13 @@ class MonomialOrder:
                 raise ValueError("weights must be n nonnegative integers")
             if any(self.weights[i] for i in self.block):
                 raise ValueError("eliminated variables carry no weight")
-            self.key = _weight_key(self.block, rest, self.weights)
         self.packing = packing(n)
         self._rev = _rev_weights(kind, n, self.block, self.weights)
+
+    def key(self, m):
+        if max(m) >= EXP_LIMIT:
+            raise ArithmeticError(f"exponent {max(m)} is past the order key's range")
+        return -sum(map(mul, m, self._rev))
 
     def rev_key(self, m):
         return sum(map(mul, m, self._rev))

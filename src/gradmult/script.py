@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import KernelError
+from .monomials import EXP_LIMIT
 from .polynomials import PolyRing
 from .scalars import FP_DEFAULT, field_from_text
 
@@ -126,7 +127,11 @@ def _parse_scalar(cur):
 
 
 def parse_poly(cur, ring, env):
-    """expr := term (('+'|'-') term)*; env maps names to ring polynomials."""
+    """expr := term (('+'|'-') term)*; env maps names to ring polynomials.
+
+    A result with an exponent of EXP_LIMIT or more, after ^ and * are
+    applied, is refused: the kernel's monomial orders and packing hold none.
+    """
 
     def atom():
         t = cur.peek()
@@ -178,7 +183,14 @@ def parse_poly(cur, ring, env):
             out = out + rhs if op == "+" else out - rhs
         return out
 
-    return expr()
+    start = cur.peek()
+    poly = expr()
+    top = max((max(e) for e in poly.coeffs), default=0)
+    if top >= EXP_LIMIT:
+        raise ParseError(
+            f"exponent {top} is too large (at most {EXP_LIMIT - 1})", start.line, start.col
+        )
+    return poly
 
 
 @dataclass

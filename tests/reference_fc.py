@@ -7,16 +7,43 @@ references.
 - The homogeneous route before the multi-Rees presentations: B : x = C
   read off three Hilbert numerators per tuple, with B and B + x built as
   products for every tuple.
+- The shifted sums of Hilbert series that route compares
+  (shifted_series_difference), the form of hilbert.series_difference
+  before it took just two ideals and divided by (1-t)^n.
 """
 
 from gradmult import PolyIdeal
-from gradmult.hilbert import series_difference
+from gradmult.hilbert import _poly_add, leading_series
 from gradmult.reductions import _fc1_sides as _colon_sides
+from reference_hilbert import _poly_shift, expand
+
+
+def series_numerator(ideal):
+    """Numerator over (1-t)^n of the Hilbert series of ring/ideal; [] for the unit ideal."""
+    if ideal.is_unit():
+        return []
+    num, d = leading_series(ideal.leading_monomials(), ideal.ring.n)
+    return expand(num, d, ideal.ring.n)
+
+
+def shifted_series_difference(left, right):
+    """Numerator over (1-t)^n of the sum of t^k HS(ring/I) over the pairs
+    (I, k) in left, minus that sum over right, as a trimmed list.
+
+    All ideals are homogeneous ideals of one ring, so each series is that of
+    the leading ideal (Macaulay); unit ideals count as zero.
+    """
+    total = []
+    for ideal, k in left:
+        total = _poly_add(total, _poly_shift(series_numerator(ideal), k))
+    for ideal, k in right:
+        total = _poly_add(total, [-v for v in _poly_shift(series_numerator(ideal), k)])
+    return total
 
 
 def same_series(left, right):
-    """True when the two sums of hilbert.series_difference are equal."""
-    return not series_difference(left, right)
+    """True when the two sums of shifted_series_difference are equal."""
+    return not shifted_series_difference(left, right)
 
 
 def _fc1_series(cache, ann, x_rep, slot, exps):

@@ -1,10 +1,30 @@
-"""The Hilbert numerator that `hilbert._numerator` replaced, kept as the
-reference: a pivot on one variable of degree 1, N(I) = N(I + p) + t N(I : p),
-with every colon re-minimalised and pairwise-coprime generators as the only
-base case."""
+"""The first Hilbert numerator of the kernel, kept as the reference for
+`hilbert.leading_series` and `hilbert.multigraded_numerator`: a pivot on one
+variable of degree 1, N(I) = N(I + p) + t N(I : p), with every colon
+re-minimalised and pairwise-coprime generators as the only base case."""
 
-from gradmult.hilbert import _one_minus_tk, _poly_add, _poly_mul, _poly_shift
+from gradmult.hilbert import _poly_add, _poly_mul, _poly_trim
 from gradmult.monomials import minimal_monomials
+
+
+def _poly_shift(a, k):
+    return _poly_trim([0] * k + list(a))
+
+
+def _one_minus_tk(k):
+    out = [0] * (k + 1)
+    out[0] = 1
+    out[k] = -1
+    return out
+
+
+def expand(num, d, n):
+    """num * (1-t)^(n - d): a reduced numerator over (1-t)^d brought back
+    over (1-t)^n."""
+    out = list(num)
+    for _ in range(n - d):
+        out = _poly_mul(out, _one_minus_tk(1))
+    return out
 
 
 def reference_numerator(gens):

@@ -206,3 +206,16 @@ def test_api_round_trip_matches_cli(tmp_path, capsys):
     doc_cli = json.loads(capsys.readouterr().out)
     assert rc_api == rc_cli == 0
     assert strip_volatile(doc_api) == strip_volatile(doc_cli)
+
+
+@pytest.mark.parametrize(
+    "ideal",
+    ["[x^2147483648, y]", "[x^2147483648*y + x, y^2]", "[x^1073741824 * x^1073741824, y]"],
+)
+def test_run_exponent_past_the_kernel_range(tmp_path, capsys, ideal):
+    text = f"ring S vars [x, y] field fp(32003) relations [];\nideal J = {ideal};\ncmd degseq J;\n"
+    rc = main(["run", _write(tmp_path, "huge.gm", text)])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert "exponent 2147483648 is too large" in err

@@ -1,9 +1,12 @@
 import math
+import random
 
 import pytest
 
 from gradmult import PolyIdeal, hilbert, hilbert_data, poly_ring
 from gradmult.monomials import mono_divides, monomials_of_degree
+from reference_fc import shifted_series_difference
+from reference_hilbert import expand
 
 
 def test_free_ring():
@@ -82,13 +85,13 @@ def test_binomial_tail_formula():
 
 def test_numerator_memo_serves_repeats(monkeypatch):
     computed = []
-    numerator = hilbert._numerator
+    numerator = hilbert.multigraded_numerator
 
-    def counting(gens):
+    def counting(gens, degrees):
         computed.append(gens)
-        return numerator(gens)
+        return numerator(gens, degrees)
 
-    monkeypatch.setattr(hilbert, "_numerator", counting)
+    monkeypatch.setattr(hilbert, "multigraded_numerator", counting)
     hilbert.leading_series.cache_clear()
     r = poly_ring(("x", "y", "z"))
     x, y, z = r.gens()
@@ -108,3 +111,34 @@ def test_numerator_memo_serves_repeats(monkeypatch):
     # another n is another input: the same leads with one more free variable
     assert hilbert.leading_series(I.leading_monomials(), 4) == (num, 1)
     assert len(computed) > first
+
+
+def test_series_difference_against_the_shifted_sums():
+    rng = random.Random(21)
+    r = poly_ring(("x", "y", "z"))
+    x, y, z = r.gens()
+    monos = [m for d in (1, 2, 3) for m in monomials_of_degree(3, d)]
+
+    def ideal(extra):
+        gens = [r.monomial(rng.choice(monos)) for _ in range(rng.randint(0, 3))]
+        for _ in range(rng.randint(0, 2)):
+            a, b = rng.sample(monos, 2)
+            if sum(a) == sum(b):
+                gens.append(r.monomial(a) - 2 * r.monomial(b))
+        return PolyIdeal(r, gens + extra)
+
+    for _ in range(40):
+        # both quotients finite-dimensional, so the difference is a polynomial
+        power = [r.monomial(m) for m in monomials_of_degree(3, rng.randint(2, 4))]
+        a, b = ideal(power), ideal(power)
+        got = hilbert.series_difference(a, b)
+        assert expand(got, 0, 3) == shifted_series_difference(((a, 0),), ((b, 0),))
+        assert not got or got[-1]
+        assert hilbert.series_difference(b, a) == [-v for v in got]
+    # the unit ideal counts as zero
+    unit = PolyIdeal(r, [r.one()])
+    plane = PolyIdeal(r, [x, y, z * z])
+    assert hilbert.series_difference(unit, plane) == [-1, -1]
+    # k[z] and k[y, z] differ in infinitely many degrees
+    with pytest.raises(ArithmeticError, match="infinitely many"):
+        hilbert.series_difference(PolyIdeal(r, [x]), PolyIdeal(r, [x, y]))

@@ -1,23 +1,34 @@
-"""The Hilbert numerator against the single-variable pivot it replaced.
+"""The Hilbert numerator against the single-variable pivot it replaced, and
+the division by (1-t) that reduces it.
 
-`hilbert._numerator` pivots on a power of a variable and has a closed form
-for generators in two variables; `reference_hilbert.reference_numerator`
-pivots on one variable of degree 1.  Both must give the same numerator over
-(1-t)^n on every minimal generating set.
+`hilbert.multigraded_numerator` pivots on a power of a variable and has a
+closed form for generators in two variables; with every degree 1 it is the
+numerator over (1-t)^n that `hilbert.leading_series` reduces.
+`reference_hilbert.reference_numerator` pivots on one variable of degree 1.
+Both must give the same numerator over (1-t)^n on every minimal generating
+set.
 """
 
 import random
 
 import pytest
 
-from gradmult.hilbert import _numerator, leading_series
+from gradmult.hilbert import _over_one_minus_t, leading_series, multigraded_numerator
 from gradmult.monomials import minimal_monomials, monomials_of_degree
-from reference_hilbert import reference_numerator
+from reference_hilbert import _one_minus_tk, _poly_mul, expand, reference_numerator
 
 
 def assert_same(gens):
     gens = minimal_monomials(gens)
-    assert _numerator(gens) == reference_numerator(gens)
+    n = len(gens[0])
+    expected = reference_numerator(gens)
+    flat = multigraded_numerator(gens, ((1,),) * n)
+    assert [flat.get((i,), 0) for i in range(len(expected))] == expected
+    assert len(flat) == sum(1 for v in expected if v)
+    num, d = leading_series(tuple(gens), n)
+    # reduced: no factor 1 - t is left, and putting them back gives the reference
+    assert num and sum(num) != 0
+    assert expand(num, d, n) == expected
 
 
 def pure(n, i, e):
@@ -97,3 +108,25 @@ def test_large_powers_of_the_maximal_ideal(n, d):
     assert sum(num) == len(
         [m for k in range(d) for m in monomials_of_degree(n, k)]
     )
+
+
+def test_division_by_one_minus_t_is_exact():
+    rng = random.Random(9)
+    for _ in range(200):
+        q = [rng.randint(-5, 5) for _ in range(rng.randint(0, 6))]
+        while q and not q[-1]:
+            q.pop()
+        k = rng.randint(0, 4)
+        num = q
+        for _ in range(k):
+            num = _poly_mul(num, _one_minus_tk(1))
+        assert _over_one_minus_t(num, k) == q
+        # one factor of 1 - t too many leaves a remainder unless q(1) = 0
+        if q and sum(q):
+            with pytest.raises(ArithmeticError, match="infinitely many"):
+                _over_one_minus_t(num, k + 1)
+    # 1 + t^3 is no multiple of 1 - t; 1 - t^3 is, with quotient 1 + t + t^2
+    with pytest.raises(ArithmeticError):
+        _over_one_minus_t([1, 0, 0, 1], 1)
+    assert _over_one_minus_t(_one_minus_tk(3), 1) == [1, 1, 1]
+    assert _over_one_minus_t([], 3) == []

@@ -149,3 +149,30 @@ def test_option_values_join_dashed_names_and_keep_signed_ints():
     assert script.commands[0].options == {"kind": "graded-mult"}
     assert script.commands[0].text == "cmd transfer P kind=graded-mult"
     assert script.commands[1].options == {"seed": -3}
+
+
+HEAD = "ring S vars [x, y] field fp(32003) relations [];\n"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "ideal J = [x^2147483648, y];",
+        "ideal J = [x^2147483648*y + x, y^2];",
+        "ideal J = [x^1073741824 * x^1073741824, y];",
+        "elem f = x^1073741824;\nideal J = [y, f*f];",
+    ],
+)
+def test_exponent_past_the_kernel_range_is_a_parse_error(body):
+    with pytest.raises(ParseError) as exc:
+        parse_script(HEAD + body)
+    assert "exponent 2147483648 is too large" in exc.value.message
+
+
+def test_largest_exponent_parses():
+    script = parse_script(HEAD + "ideal J = [x^1073741823 * x^1073741824, y];")
+    (lead, _), = script.ideals["J"][0].terms()
+    assert lead == (2147483647, 0)
+    # a product whose huge terms cancel leaves nothing to refuse
+    script = parse_script(HEAD + "elem f = x^2147483648 - x^2147483648 + y;")
+    assert script.elems["f"] == script.ring.var(1)
