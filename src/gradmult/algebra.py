@@ -7,8 +7,7 @@ every ideal-level operation delegates to the polynomial side.
 
 from .groebner import INFINITE, PolyIdeal, memo_power
 from .hilbert import hilbert_data
-from .linalg import rref_insert
-from .monomials import mono_divides, monomials_up_to as _monomials_up_to
+from .monomials import mono_divides
 from .polynomials import Polynomial
 
 
@@ -68,17 +67,6 @@ class GradedAlgebra:
         if u < 0:
             raise ValueError("negative power of the irrelevant ideal")
         return self.irrelevant_ideal().power(u)
-
-    def standard_monomials_up_to(self, cap):
-        """Monomials outside the leading ideal of P, total degree <= cap, order-descending."""
-        leads = self.defining.leading_monomials()
-        out = [
-            m
-            for m in _monomials_up_to(self.ring.n, cap)
-            if not any(mono_divides(l, m) for l in leads)
-        ]
-        out.sort(key=self.ring.order.key, reverse=True)
-        return out
 
     def key(self):
         return (self.ring.key(), tuple(g.sort_key() for g in self.defining.groebner()))
@@ -292,54 +280,47 @@ class AlgIdeal:
         return "AlgIdeal(" + ", ".join(repr(g) for g in self.gens) + ")"
 
 
-def _truncated_span(algebra, lifted, cap, colindex):
-    """Echelon form of {NF_P(u*g) : g in GB(lifted), deg(u) + deg(g) <= cap}.
-
-    For a degree-compatible order this spans exactly the elements of the ideal
-    admitting representatives of degree <= cap.
-    """
-    P = algebra.defining
-    field = algebra.ring.field
-    pivots = {}
-    for g in lifted.groebner():
-        dg = g.degree()
-        if dg > cap:
-            continue
-        for u in _monomials_up_to(algebra.ring.n, cap - dg):
-            h = P.normal_form(g.mul_term(u, 1))
-            if not h.coeffs:
-                continue
-            row = {colindex[e]: c for e, c in h.coeffs.items()}
-            rref_insert(pivots, row, field)
-    return pivots
-
-
 def minimal_basis(ideal):
     """A minimal homogeneous-style generating set of the ideal, smallest degrees first.
 
-    Extracts representatives of a basis of I/mI by comparing truncated spans of
-    I and mI; the returned elements are verified to generate (lift equality).
+    The members of GB(P + I) whose leads lie neither in in(P) nor in
+    in(P + mI), sorted by degree and then by descending lead; the returned
+    elements are verified to generate (lift equality).
+
+    For a degree-compatible order these are the representatives of a basis
+    of I/mI that the dense echelon route (tests/reference_minimal_basis.py)
+    gives.  That route brings NF_P((P + I)_{<=cap}), cap the top generator
+    degree, to fully reduced row echelon form over the standard monomials of
+    P in descending key.  Its pivots are in(P + I)_{<=cap} minus in(P), those
+    of mI likewise, and it keeps the rows of I at pivots outside in(P + mI),
+    sorted by (degree, column), which is (degree, descending key).
+    - The fully reduced row at a pivot m is the unique member of the span
+      with lead m whose other terms are non-pivots.  For a lead of the
+      reduced basis that member is the basis element itself: its other terms
+      lie outside in(P + I), which holds in(P), so NF_P leaves it unchanged.
+    - x_i in(P + I) lies in in(P + mI), because x_i f lies in P + mI for
+      every f in P + I.  So a pivot outside in(P + mI) is a minimal
+      generator of in(P + I), which is a lead of the reduced basis.
+    - No lead outside in(P + mI) has degree above cap, so the cap drops
+      nothing.  Such leads number dim (P + I)/(P + mI), and the normal forms
+      mod P + mI of the generators span that quotient without raising the
+      degree, so their echelon leads are that many distinct such leads.
     """
     algebra = ideal.algebra
     if ideal.is_zero():
         raise ValueError("minimal basis of the zero ideal")
     if not ideal.is_proper():
         raise ValueError("minimal basis of the unit ideal")
-    cap = max(g.rep.degree() for g in ideal.gens)
-    cols = algebra.standard_monomials_up_to(cap)
-    colindex = {m: i for i, m in enumerate(cols)}
-    span_i = _truncated_span(algebra, ideal.lift, cap, colindex)
-    mi = ideal.times(algebra.irrelevant_ideal())
-    span_mi = _truncated_span(algebra, mi.lift, cap, colindex)
-    extra = set(span_i) - set(span_mi)
-    if set(span_mi) - set(span_i):
-        raise ArithmeticError("truncated span of mI escaped that of I")
-    ordered = sorted(extra, key=lambda p: (sum(cols[p]), p))
-    basis = []
-    ring = algebra.ring
-    for p in ordered:
-        poly = Polynomial(ring, {cols[c]: v for c, v in span_i[p].items()})
-        basis.append(AlgElement(algebra, poly))
+    gb = ideal.lift.groebner()
+    mi_leads = ideal.times(algebra.irrelevant_ideal()).lift.leading_monomials()
+    leads = [g.leading_monomial() for g in gb]
+    if not all(any(mono_divides(l, m) for l in leads) for m in mi_leads):
+        raise ArithmeticError("leading ideal of mI escaped that of I")
+    dropped = algebra.defining.leading_monomials() + mi_leads
+    kept = [g for g, m in zip(gb, leads) if not any(mono_divides(l, m) for l in dropped)]
+    key = algebra.ring.order.key
+    kept.sort(key=lambda g: (g.degree(), -key(g.leading_monomial())))
+    basis = [AlgElement(algebra, g) for g in kept]
     if not AlgIdeal(algebra, basis).lift.equals(ideal.lift):
         raise ArithmeticError("minimal basis candidates fail to generate")
     return basis

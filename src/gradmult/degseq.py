@@ -18,13 +18,22 @@ from .algebra import AlgIdeal, minimal_basis
 from .groebner import INFINITE, PolyIdeal
 from .hilbert import series_difference
 from .linalg import solve
+from .monomials import mono_divides, monomials_of_degree
 from .polynomials import Polynomial
 
 _ADJUST_LIMIT = 64
 
 
 def _standard_of_degree(algebra, n):
-    return [m for m in algebra.standard_monomials_up_to(n) if sum(m) == n]
+    """Degree-n monomials outside the leading ideal of P, order-descending."""
+    leads = algebra.defining.leading_monomials()
+    out = [
+        m
+        for m in monomials_of_degree(algebra.ring.n, n)
+        if not any(mono_divides(l, m) for l in leads)
+    ]
+    out.sort(key=algebra.ring.order.key, reverse=True)
+    return out
 
 
 def _order_counts(ideal):

@@ -5,6 +5,7 @@ that `degseq._order_counts` replaced, kept as the reference for the stop:
 one intersection I meet m^n for every n up to it."""
 
 from gradmult import Inconclusive, PolyIdeal
+from gradmult.degseq import _standard_of_degree
 from gradmult.linalg import rref_insert
 from gradmult.monomials import monomials_of_degree
 from gradmult.polynomials import Polynomial
@@ -32,7 +33,7 @@ def degree_slice(algebra, lifted, n):
     """
     ring = algebra.ring
     field = ring.field
-    std = [m for m in algebra.standard_monomials_up_to(n) if sum(m) == n]
+    std = _standard_of_degree(algebra, n)
     if not std:
         return []
     one = field.one

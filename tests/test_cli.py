@@ -219,3 +219,15 @@ def test_run_exponent_past_the_kernel_range(tmp_path, capsys, ideal):
     assert rc == 1
     assert out == ""
     assert "exponent 2147483648 is too large" in err
+
+
+def test_run_large_exponent_reads_its_degree_sequence(tmp_path, capsys):
+    # the minimal basis comes off two reduced bases, so its cost does not grow
+    # with the number of monomials below the top generator degree
+    text = "ring S vars [x, y] field fp(32003) relations [];\nideal J = [x^65536, y];\ncmd degseq J;\n"
+    rc = main(["run", _write(tmp_path, "large.gm", text)])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    values = doc["reports"][0]["values"]
+    assert values["degree_sequence"] == [1, 65536]
+    assert values["initial_minimal_generators"] == 2
