@@ -12,7 +12,7 @@ degree sequence, the sorted orders of the rewritten basis, must match the
 counts.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import AlgIdeal, minimal_basis
 from .groebner import INFINITE, PolyIdeal
@@ -182,15 +182,10 @@ def degree_sequence(ideal):
     return tuple(sorted(b.order for b in basis))
 
 
-@dataclass
-class TransferReport:
-    kind: str
-    lhs: object
-    rhs: object
-    equal: bool
-    lhs_method: str
-    rhs_method: str
-    reason: str = ""
+class TransferReport(namedtuple(
+    "TransferReport", "kind lhs rhs equal lhs_method rhs_method reason", defaults=("",)
+)):
+    __slots__ = ()
 
 
 def verify_initial_transfer(ideal, kind, window=None):

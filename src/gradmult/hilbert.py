@@ -20,7 +20,7 @@ them.
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 
 from .monomials import minimal_monomials, mono_lcm
@@ -67,13 +67,10 @@ def _over_one_minus_t(num, k):
     return num
 
 
-@dataclass(frozen=True)
-class HilbertData:
+class HilbertData(namedtuple("HilbertData", "numerator dimension multiplicity")):
     """Reduced Hilbert series Q(t)/(1-t)^d of a homogeneous quotient."""
 
-    numerator: tuple
-    dimension: int
-    multiplicity: int
+    __slots__ = ()
 
     def hilbert_function(self, m):
         """dim_k of the degree-m graded piece."""

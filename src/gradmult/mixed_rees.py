@@ -12,7 +12,7 @@ are the degree-sequence product formulas; the two sides are never mixed.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial, prod
 
 from .algebra import AlgIdeal
@@ -89,10 +89,10 @@ def rees_multiplicity_fastpath(I, degseq=None, seed=0):
     )
 
 
-@dataclass
-class ReesReport:
-    fastpath: SamuelResult = None
-    oracle: SamuelResult = None
+class ReesReport(namedtuple("ReesReport", "fastpath oracle", defaults=(None, None))):
+    """The SamuelResult of each route that ran, None for the other."""
+
+    __slots__ = ()
 
     @property
     def agree(self):
@@ -110,25 +110,25 @@ def rees_multiplicity(I, mode="both", degseq=None, window=None, seed=0):
     """Rees algebra multiplicity by either or both routes."""
     if mode not in ("oracle", "fastpath", "both"):
         raise ValueError(f"unknown mode {mode!r}")
-    report = ReesReport()
+    fastpath = oracle = None
     if mode in ("fastpath", "both"):
-        report.fastpath = rees_multiplicity_fastpath(I, degseq=degseq, seed=seed)
+        fastpath = rees_multiplicity_fastpath(I, degseq=degseq, seed=seed)
     if mode in ("oracle", "both"):
-        report.oracle = rees_multiplicity_oracle(I, window=window)
-    return report
+        oracle = rees_multiplicity_oracle(I, window=window)
+    return ReesReport(fastpath, oracle)
 
 
 # -- Bhattacharya tables -----------------------------------------------------
 
 
-@dataclass
-class MixedMultiplicityTable:
-    q: int
-    entries: dict  # (k0, k...) with k0 + |k| = q - 1 -> the (k0 + 1, k...) number
-    n0_range: tuple
-    n_ranges: tuple
-    fit_points: list
-    fit_residual: int  # max |actual - predicted| over held-out grid cells; must be 0
+class MixedMultiplicityTable(namedtuple(
+    "MixedMultiplicityTable", "q entries n0_range n_ranges fit_points fit_residual"
+)):
+    """entries maps (k0, k...) with k0 + |k| = q - 1 to the (k0 + 1, k...)
+    number; fit_residual is max |actual - predicted| over the held-out grid
+    cells, and must be 0."""
+
+    __slots__ = ()
 
     def entry(self, key):
         return self.entries[tuple(key)]
@@ -292,14 +292,12 @@ def mixed_fastpath(I, degseq=None, i=None, seed=0):
     )
 
 
-@dataclass
-class QuotientRouteReport:
-    value: int
-    t: int
-    fc_verified: bool
-    order_product: int = None
-    order_route_value: int = None
-    agree: bool = None
+class QuotientRouteReport(namedtuple(
+    "QuotientRouteReport",
+    "value t fc_verified order_product order_route_value agree",
+    defaults=(None, None, None),
+)):
+    __slots__ = ()
 
 
 def mixed_via_fc_quotient(I, xs, window=None):
@@ -355,17 +353,15 @@ def mixed_via_fc_quotient(I, xs, window=None):
     return QuotientRouteReport(value, t, True, order_product, order_value, agree)
 
 
-@dataclass
-class InvarianceReport:
-    closure_certified: bool
-    degseq_lhs: tuple
-    degseq_rhs: tuple
-    rees_fastpath_lhs: int
-    rees_fastpath_rhs: int
-    rees_oracle_lhs: int = None
-    rees_oracle_rhs: int = None
-    mixed_lhs: dict = None
-    mixed_rhs: dict = None
+class InvarianceReport(namedtuple(
+    "InvarianceReport",
+    "closure_certified degseq_lhs degseq_rhs rees_fastpath_lhs rees_fastpath_rhs"
+    " rees_oracle_lhs rees_oracle_rhs mixed_lhs mixed_rhs",
+    defaults=(None, None, None, None),
+)):
+    """The oracle fields are None unless invariance_check ran the oracles."""
+
+    __slots__ = ()
 
     @property
     def agree(self):
@@ -405,16 +401,12 @@ def invariance_check(I, E, with_oracle=True, seed=0):
     seq_e = degree_sequence(J_e)
     fp_i = rees_multiplicity_fastpath(I, degseq=seq_i)
     fp_e = rees_multiplicity_fastpath(E, degseq=seq_e)
-    report = InvarianceReport(
-        closure_certified=certified,
-        degseq_lhs=seq_i,
-        degseq_rhs=seq_e,
-        rees_fastpath_lhs=fp_i.value,
-        rees_fastpath_rhs=fp_e.value,
-    )
+    oracles = ()
     if with_oracle:
-        report.rees_oracle_lhs = rees_multiplicity_oracle(I).value
-        report.rees_oracle_rhs = rees_multiplicity_oracle(E).value
-        report.mixed_lhs = bhattacharya_oracle([I]).entries
-        report.mixed_rhs = bhattacharya_oracle([E]).entries
-    return report
+        oracles = (
+            rees_multiplicity_oracle(I).value,
+            rees_multiplicity_oracle(E).value,
+            bhattacharya_oracle([I]).entries,
+            bhattacharya_oracle([E]).entries,
+        )
+    return InvarianceReport(certified, seq_i, seq_e, fp_i.value, fp_e.value, *oracles)

@@ -6,7 +6,7 @@ window can never change the answer.  The Samuel oracle reads every colength
 l(S/q^n) off one basis of the associated graded ring gr_q(S).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import AlgIdeal, minimal_basis
 from .degseq import degree_sequence
@@ -18,12 +18,10 @@ from .reductions import is_reduction
 from .rees import multi_rees
 
 
-@dataclass
-class SamuelResult:
-    value: int
-    method: str
-    window: tuple = None
-    witness: dict = None
+class SamuelResult(namedtuple(
+    "SamuelResult", "value method window witness", defaults=(None, None)
+)):
+    __slots__ = ()
 
 
 def colength(ideal):

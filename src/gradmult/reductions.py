@@ -23,7 +23,7 @@ element also decides FC2.
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .algebra import AlgIdeal, minimal_basis
 from .errors import SearchExhausted
@@ -38,11 +38,12 @@ DEFAULT_N_MAX = 8
 DEFAULT_RETRIES = 32
 
 
-@dataclass
-class ReductionCertificate:
-    verdict: str  # "REDUCTION" | "INCONCLUSIVE"
-    n_witness: int = None
-    n_max: int = DEFAULT_N_MAX
+class ReductionCertificate(namedtuple(
+    "ReductionCertificate", "verdict n_witness n_max", defaults=(None, DEFAULT_N_MAX)
+)):
+    """verdict is "REDUCTION" or "INCONCLUSIVE"."""
+
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -121,14 +122,13 @@ def _fiber_witness(J, I):
     return ReductionCertificate("REDUCTION", top)
 
 
-@dataclass(frozen=True)
-class _FiberCone:
-    """F(I) = k[T]/relations, T_i -> the class of generators[i] in I/mI."""
+class _FiberCone(namedtuple("_FiberCone", "generators relations mi images")):
+    """F(I) = k[T]/relations, T_i -> the class of generators[i] in I/mI:
+    generators are the minimal generators g_i of I, relations is Phi in
+    k[T], mi the lift of mI, and images[i] the normal form mod mI of g_i,
+    as a coefficient dict."""
 
-    generators: list  # the minimal generators g_i of I
-    relations: PolyIdeal  # Phi, in k[T]
-    mi: PolyIdeal  # the lift of mI
-    images: list  # the normal form mod mI of each g_i, as a coefficient dict
+    __slots__ = ()
 
 
 def _fiber_cone(I):
@@ -159,12 +159,10 @@ def analytic_spread(I):
     return _fiber_cone(I).relations.krull_dimension()
 
 
-@dataclass
-class HeightReport:
-    height: int
-    spread: int
-    equimultiple: bool
-    convention: str = "codimension"
+class HeightReport(namedtuple(
+    "HeightReport", "height spread equimultiple convention", defaults=("codimension",)
+)):
+    __slots__ = ()
 
 
 def height_and_equimultiple(I):
@@ -186,6 +184,16 @@ def find_minimal_reduction(I, seed=0, retries=DEFAULT_RETRIES):
     spread minimal generators: for a homogeneous I, independent linear forms
     in F(I)_1 = I/mI (dependent ones are too few for F(I)/J F(I) to be
     Artinian), else minimal_basis(J).  Raises SearchExhausted on failure.
+
+    A homogeneous multiset in which some degree a occurs more often than I
+    has minimal generators of degree a is skipped without a draw.  A
+    degree-a element of I maps into the span of the degree-a generator
+    classes in I/mI, every other term of it lying in mI, so the forms of a
+    candidate have rank at most sum_a min(count_a, #generators of degree a),
+    less than spread: the rank test would reject every draw.  The skip still
+    takes from rng the coefficients those rejected draws would have taken,
+    retries * sum over a in the multiset of len(pool(a)), so the J returned
+    for a given seed is the one of the search that tries every multiset.
     """
     algebra = I.algebra
     spread = analytic_spread(I)
@@ -247,7 +255,13 @@ def find_minimal_reduction(I, seed=0, retries=DEFAULT_RETRIES):
             itertools.combinations_with_replacement(degrees, spread),
             key=lambda t: (sum(t), t),
         )
+        available = Counter(b.order for b in basis)
         for ms in multisets:
+            if any(k > available[a] for a, k in Counter(ms).items()):
+                # every draw would fail the rank test: consume its coefficients
+                for _ in range(retries * sum(len(pool(a)) for a in ms)):
+                    field_.random(rng)
+                continue
             for _ in range(retries):
                 hit = try_candidate([random_combination(pool(a)) for a in ms])
                 if hit:
@@ -269,12 +283,10 @@ def find_minimal_reduction(I, seed=0, retries=DEFAULT_RETRIES):
 # -- weak-FC checks ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FcWindow:
-    slot_lo: int = 2
-    slot_hi: int = 5
-    other_lo: int = 0
-    other_hi: int = 3
+class FcWindow(namedtuple(
+    "FcWindow", "slot_lo slot_hi other_lo other_hi", defaults=(2, 5, 0, 3)
+)):
+    __slots__ = ()
 
     def tuples(self, count, slot):
         ranges = []
@@ -286,15 +298,12 @@ class FcWindow:
         return itertools.product(*ranges)
 
 
-@dataclass
-class FcReport:
-    slot: int
-    order: object
-    fc1_pass: bool
-    fc2_pass: bool
-    window: FcWindow
-    fc1_counterexample: tuple = None
-    fc2_witness: str = None
+class FcReport(namedtuple(
+    "FcReport",
+    "slot order fc1_pass fc2_pass window fc1_counterexample fc2_witness",
+    defaults=(None, None),
+)):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -478,12 +487,8 @@ def fc_check_element(x, ideals, slot, window=None):
     return _fc_check_on_lift(base, x, gen_lists, slot, window)
 
 
-@dataclass
-class FcSequence:
-    elements: list
-    reports: list
-    o_values: tuple
-    attempt: int
+class FcSequence(namedtuple("FcSequence", "elements reports o_values attempt")):
+    __slots__ = ()
 
 
 def build_fc_sequence(J, I, seed=0, retries=DEFAULT_RETRIES, window=None):

@@ -17,7 +17,7 @@ is the number of standard monomials of degree t and x-degree >= c
 (hilbert.BlockSeries).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import minimal_basis
 from .groebner import PolyIdeal, _fresh_name, buchberger
@@ -26,11 +26,12 @@ from .monomials import MonomialOrder
 from .polynomials import Polynomial, PolyRing, map_vars
 
 
-@dataclass(frozen=True)
-class MultiRees:
-    ideal: PolyIdeal  # L in k[x, T], its reduced basis in the weight order known
-    n: int  # the x's are the first n variables
-    blocks: tuple  # blocks[k]: the degrees deg g_kj of block k
+class MultiRees(namedtuple("MultiRees", "ideal n blocks")):
+    """L = ideal in k[x, T], its reduced basis in the weight order known; the
+    x's are the first n variables; blocks[k] lists the degrees deg g_kj of
+    block k."""
+
+    __slots__ = ()
 
     def series(self):
         return BlockSeries(self.ideal.leading_monomials(), self.n, self.blocks)
@@ -74,14 +75,10 @@ def multi_rees(base, blocks):
     return MultiRees(PolyIdeal.from_basis(pring, basis), n, degrees)
 
 
-@dataclass
-class ReesPresentation:
-    ambient: PolyRing
-    rees_ideal: PolyIdeal
-    base_vars: int
-    t_names: tuple
-    generators: list
-    dim: int
+class ReesPresentation(namedtuple(
+    "ReesPresentation", "ambient rees_ideal base_vars t_names generators dim"
+)):
+    __slots__ = ()
 
 
 def rees_presentation(I):

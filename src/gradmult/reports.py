@@ -9,7 +9,7 @@ serialized with their machine-readable codes rather than tracebacks.
 import datetime
 import json
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import make_algebra, minimal_basis
 from .degseq import degree_sequence, initial_ideal, verify_initial_transfer
@@ -29,7 +29,6 @@ from .multiplicity import (
     samuel_oracle,
 )
 from .reductions import build_fc_sequence, find_minimal_reduction
-from .script import SessionScript
 
 SCHEMA_VERSION = 1
 
@@ -54,13 +53,10 @@ class UsageError(KernelError):
     code = "USAGE-ERROR"
 
 
-@dataclass
-class Session:
-    script: SessionScript
-    algebra: object
-    elements: dict
-    ideals: dict
-    seed: int
+class Session(namedtuple("Session", "script algebra elements ideals seed")):
+    """A parsed SessionScript with its algebra, elements and ideals built."""
+
+    __slots__ = ()
 
 
 def build_session(script, seed=0):

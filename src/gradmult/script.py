@@ -13,7 +13,7 @@ parentheses; identifiers resolve to ring variables first, then to earlier
 elem declarations.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import KernelError
@@ -29,12 +29,10 @@ class ParseError(KernelError):
         super().__init__(f"{message} (line {line}, column {col})", line=line, col=col)
 
 
-@dataclass
-class Token:
-    kind: str  # name | int | punct
-    text: str
-    line: int
-    col: int
+class Token(namedtuple("Token", "kind text line col")):
+    """kind is one of name, int and punct."""
+
+    __slots__ = ()
 
 
 _PUNCT = set("[](){}=,;+-*^/")
@@ -193,25 +191,14 @@ def parse_poly(cur, ring, env):
     return poly
 
 
-@dataclass
-class Command:
-    op: str
-    args: list
-    options: dict
-    line: int
-    text: str
+class Command(namedtuple("Command", "op args options line text")):
+    __slots__ = ()
 
 
-@dataclass
-class SessionScript:
-    ring_name: str
-    var_names: tuple
-    field: object
-    relations: list
-    elems: dict
-    ideals: dict
-    commands: list
-    ring: PolyRing
+class SessionScript(namedtuple(
+    "SessionScript", "ring_name var_names field relations elems ideals commands ring"
+)):
+    __slots__ = ()
 
 
 def _parse_name_list(cur):
