@@ -192,8 +192,9 @@ def verify_initial_transfer(ideal, kind, window=None):
     """Compare an invariant of I against the same invariant of in(I).
 
     kinds: 'colength' (length of the quotient), 'samuel' (multiplicity of a
-    parameter ideal via the length oracle), 'graded-mult' (multiplicity of the
-    quotient ring).  Mathematical failure on the in(I) side is reported as
+    parameter ideal via the length oracle, over the window), 'graded-mult'
+    (multiplicity of the quotient ring at the origin, off a Hilbert series
+    with no window).  Mathematical failure on the in(I) side is reported as
     equal=False with a reason, not raised.
     """
     from . import multiplicity as me
@@ -235,8 +236,8 @@ def verify_initial_transfer(ideal, kind, window=None):
                 "quotient-multiplicity",
                 f"dimension mismatch: dim S/I = {dim_i}, dim S/in(I) = {dim_init}",
             )
-        lhs = me.quotient_multiplicity(ideal, window=window).value
-        rhs = me.quotient_multiplicity(init, window=window).value
+        lhs = me.quotient_multiplicity(ideal).value
+        rhs = me.quotient_multiplicity(init).value
         return TransferReport(
             kind, lhs, rhs, lhs == rhs,
             "quotient-multiplicity", "quotient-multiplicity", "",

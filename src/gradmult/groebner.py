@@ -250,16 +250,11 @@ def _reduced_basis(polys):
             continue
         kept.append(g)
 
-    # tail interreduction to the unique reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(kept)):
-            rest = kept[:idx] + kept[idx + 1:]
-            r = normal_form(kept[idx], rest)
-            if r.coeffs != kept[idx].coeffs:
-                kept[idx] = r.monic()
-                changed = True
+    # tail interreduction to the unique reduced basis, in one pass: no lead
+    # divides another, so each lead survives its normal form and the leads
+    # never change, and a normal form keeps no term any other lead divides
+    for idx in range(len(kept)):
+        kept[idx] = normal_form(kept[idx], kept[:idx] + kept[idx + 1:])
     kept.sort(key=lambda p: okey(p.leading_monomial()))
     return tuple(kept)
 

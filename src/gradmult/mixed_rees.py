@@ -300,7 +300,7 @@ class QuotientRouteReport(namedtuple(
     __slots__ = ()
 
 
-def mixed_via_fc_quotient(I, xs, window=None):
+def mixed_via_fc_quotient(I, xs):
     """e(m^[d-t], I^[t]) as e(S/(x_1..x_t)) for a weak-FC sequence from I.
 
     Also evaluates the order-product route o(x_1)..o(x_t) e(S) when the initial
@@ -341,7 +341,7 @@ def mixed_via_fc_quotient(I, xs, window=None):
                 counterexample=list(rep.fc1_counterexample) if rep.fc1_counterexample else None,
             )
         base_gens = base_gens + (x.rep,)
-    value = quotient_multiplicity(quot, window=window).value
+    value = quotient_multiplicity(quot).value
     init = AlgIdeal(algebra, [x.initial_form for x in xs])
     order_product = None
     order_value = None

@@ -8,7 +8,7 @@ l(S/q^n) off one basis of the associated graded ring gr_q(S).
 
 from collections import namedtuple
 
-from .algebra import AlgIdeal, minimal_basis
+from .algebra import AlgIdeal
 from .degseq import degree_sequence
 from .errors import HypothesisFail, Inconclusive, NoStabilization
 from .groebner import INFINITE, PolyIdeal
@@ -204,32 +204,20 @@ def samuel_fastpath_domain(I, J, domain_asserted=False):
     )
 
 
-def quotient_multiplicity(I, window=None):
-    """e(S/I) with respect to the image of the irrelevant ideal.
+def quotient_multiplicity(I):
+    """e(S/I) at the origin: the multiplicity of the lift's tangent cone.
 
-    Homogeneous quotients use the Hilbert series; otherwise the lengths of
-    S/(I + m^k), read off the Hilbert function of the lift's tangent cone at
-    the origin, are differenced to the dimension of S/I there.  When S/I is
-    Artinian at the origin the window defaults to one long enough for any
-    length up to its local colength.
+    l(S/(I + m^k)) is the sum over j < k of the cone's Hilbert function, so
+    its d-th difference, d the dimension of the cone (the local dimension),
+    is e(cone) from some k on: the series gives it with no window.
     """
     lift = I.lift
     if lift.is_unit():
         raise ValueError("quotient ring is zero")
-    if lift.is_homogeneous():
-        hd = hilbert_data(lift)
-        return SamuelResult(
-            hd.multiplicity, "homogeneous-series", None, {"dimension": hd.dimension}
-        )
     cone = lift.tangent_cone()
     if cone.is_unit():
         raise HypothesisFail("quotient is zero at the origin")
-    # the order is the local dimension at the origin, which components of
-    # S/I away from the origin can exceed globally
-    order = hilbert_data(cone).dimension
-    if order == 0 and window is None:
-        # the lengths rise strictly until they are stable and never pass the
-        # local colength, so they are stable from that colength on
-        window = (1, max(6, cone.k_dimension() + 3))
-    # the cone is homogeneous, so it is its own tangent cone: same lengths
-    return windowed_oracle(order, window, 0, adic_lengths(cone))
+    hd = hilbert_data(cone)
+    return SamuelResult(
+        hd.multiplicity, "homogeneous-series", None, {"dimension": hd.dimension}
+    )

@@ -1,13 +1,13 @@
 """Reductions J of I, analytic spread, and the weak-FC sequence machinery.
 
-A reduction is certified by the least n <= DEFAULT_N_MAX with
-I^(n+1) = J I^n.  On homogeneous input that n is the top degree of
-F(I)/J F(I), read off one Hilbert series of the fiber cone
-F(I) = k[T]/Phi (Northcott-Rees), Phi coming from rees.rees_presentation,
-so no product J I^n is built.  The same Phi gives the analytic spread, its
-Krull dimension, and the degree-one piece I/mI of F(I) settles which
-candidates of a reduction search are minimally generated.  Other input
-compares I^(n+1) with J I^n for n = 0, 1, ...
+A reduction is certified by the least n with I^(n+1) = J I^n.  On
+homogeneous input that n is the top degree of F(I)/J F(I), read off one
+Hilbert series of the fiber cone F(I) = k[T]/Phi (Northcott-Rees), Phi from
+rees.rees_presentation, so no product J I^n is built and n has no bound.
+The same Phi gives the analytic spread, its Krull dimension, and the
+degree-one piece I/mI of F(I) settles which candidates of a reduction search
+are minimally generated.  Other input compares I^(n+1) with J I^n for
+n = 0 .. DEFAULT_N_MAX.
 
 FC checks run inside quotients by earlier sequence members; those quotients
 are handled entirely on polynomial lifts, so nothing here needs the quotient
@@ -41,7 +41,7 @@ DEFAULT_RETRIES = 32
 class ReductionCertificate(namedtuple(
     "ReductionCertificate", "verdict n_witness n_max", defaults=(None, DEFAULT_N_MAX)
 )):
-    """verdict is "REDUCTION" or "INCONCLUSIVE"."""
+    """verdict is "REDUCTION" or "INCONCLUSIVE"; n_max bounds the power test only."""
 
     __slots__ = ()
 
@@ -51,7 +51,7 @@ class ReductionCertificate(namedtuple(
 
 
 def is_reduction(J, I):
-    """Certify I^(n+1) = J I^n for some n <= DEFAULT_N_MAX; J must lie in I.
+    """Certify I^(n+1) = J I^n for some n; J must lie in I.
 
     The witness is the least such n, the reduction number of I with respect
     to J.  On homogeneous input (I nonzero, proper and homogeneous, every
@@ -71,7 +71,7 @@ def is_reduction(J, I):
     - F/JF = k[T]/(Phi + forms) is generated in degree 1, so a zero degree is
       followed by zeros only: the least n is the top degree of F/JF, which
       is Artinian exactly when some n exists.  Its Hilbert series is then the
-      polynomial hilbert.leading_series returns, of degree n.
+      polynomial hilbert.leading_series returns, of degree n, with no bound.
     Other input climbs the powers (_power_witness).  Either way J = I is
     witness 0, checked first on the two lifts.
     """
@@ -110,16 +110,20 @@ def _fiber_forms(fiber, gens):
     return forms
 
 
+def _fiber_certificate(fiber, forms):
+    """The top degree of F(I)/(forms), unless it is not Artinian (see is_reduction)."""
+    ring = fiber.relations.ring
+    quotient = PolyIdeal(ring, fiber.relations.gens + tuple(forms))
+    num, dim = leading_series(quotient.leading_monomials(), ring.n)
+    if dim > 0:
+        return ReductionCertificate("INCONCLUSIVE")
+    return ReductionCertificate("REDUCTION", len(num) - 1)
+
+
 def _fiber_witness(J, I):
     """The top degree of F(I)/J F(I), for homogeneous J inside I (see is_reduction)."""
     fiber = _fiber_cone(I)
-    ring = fiber.relations.ring
-    quotient = PolyIdeal(ring, fiber.relations.gens + tuple(_fiber_forms(fiber, J.gens)))
-    num, dim = leading_series(quotient.leading_monomials(), ring.n)
-    top = len(num) - 1
-    if dim > 0 or top > DEFAULT_N_MAX:
-        return ReductionCertificate("INCONCLUSIVE")
-    return ReductionCertificate("REDUCTION", top)
+    return _fiber_certificate(fiber, _fiber_forms(fiber, J.gens))
 
 
 class _FiberCone(namedtuple("_FiberCone", "generators relations mi images")):
@@ -181,9 +185,10 @@ def find_minimal_reduction(I, seed=0, retries=DEFAULT_RETRIES):
     For a homogeneous I each generator is drawn from a graded piece of I,
     walking candidate degree multisets smallest-first; otherwise generators
     are random combinations of the minimal basis.  A candidate J needs
-    spread minimal generators: for a homogeneous I, independent linear forms
-    in F(I)_1 = I/mI (dependent ones are too few for F(I)/J F(I) to be
-    Artinian), else minimal_basis(J).  Raises SearchExhausted on failure.
+    spread independent linear forms in F(I)_1 = I/mI, read once: dependent
+    ones are too few for F(I)/J F(I) to be Artinian.  On homogeneous I the
+    same forms give the certificate (is_reduction), else the power test
+    does.  Raises SearchExhausted on failure.
 
     A homogeneous multiset in which some degree a occurs more often than I
     has minimal generators of degree a is skipped without a draw.  A
@@ -213,17 +218,11 @@ def find_minimal_reduction(I, seed=0, retries=DEFAULT_RETRIES):
         J = AlgIdeal(algebra, gens)
         if J.is_zero() or not J.is_proper():
             return None
-        if homogeneous:
-            echelon = {}
-            if sum(rref_insert(echelon, f.coeffs, field_) for f in _fiber_forms(fiber, J.gens)) < spread:
-                return None
-        else:
-            try:
-                if len(minimal_basis(J)) != spread:
-                    return None
-            except ValueError:
-                return None
-        cert = is_reduction(J, I)
+        forms = _fiber_forms(fiber, J.gens)
+        echelon = {}
+        if sum(rref_insert(echelon, f.coeffs, field_) for f in forms) < spread:
+            return None
+        cert = _fiber_certificate(fiber, forms) if homogeneous else is_reduction(J, I)
         if cert.ok:
             return (J, cert)
         return None

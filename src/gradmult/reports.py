@@ -28,7 +28,7 @@ from .multiplicity import (
     samuel_fastpath_general,
     samuel_oracle,
 )
-from .reductions import build_fc_sequence, find_minimal_reduction
+from .reductions import DEFAULT_RETRIES, build_fc_sequence, find_minimal_reduction
 
 SCHEMA_VERSION = 1
 
@@ -132,7 +132,17 @@ def _window(command, key="window"):
 
 
 def _seed(command, session):
-    return command.options.get("seed", session.seed)
+    seed = command.options.get("seed", session.seed)
+    if not isinstance(seed, int):
+        raise UsageError("seed must be an integer", value=_jsonable(seed))
+    return seed
+
+
+def _retries(command):
+    retries = command.options.get("retries", DEFAULT_RETRIES)
+    if not isinstance(retries, int) or retries < 0:
+        raise UsageError("retries must be a nonnegative integer", value=_jsonable(retries))
+    return retries
 
 
 def _capture(out, values, witnesses, slot, fn, *args, **kwargs):
@@ -344,7 +354,7 @@ def _cmd_fc_seq(session, command):
         raise UsageError("fc_seq needs two ideals: the reduction, then the ideal")
     I = session.ideals[command.args[1]]
     seed = _seed(command, session)
-    retries = command.options.get("retries", 32)
+    retries = _retries(command)
     seq = build_fc_sequence(J, I, seed=seed, retries=retries)
     target = list(degree_sequence(J))
     values = {
@@ -390,8 +400,7 @@ def _cmd_invariance(session, command):
 def _cmd_mixed_quotient(session, command):
     ideal = _need(session.ideals, "ideal", command, 0)
     xs = _all_elements(session, command, start=1)
-    window = _window(command)
-    rep = mixed_via_fc_quotient(ideal, xs, window=window)
+    rep = mixed_via_fc_quotient(ideal, xs)
     values = {
         "value": rep.value,
         "t": rep.t,

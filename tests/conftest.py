@@ -31,6 +31,21 @@ def hyper():
     return make_algebra(ring, [y * y * z - x**3])
 
 
+def four_algebras(field):
+    """k[x,y], k[x,y,z], the cusp k[x,y,z]/(y^2 z - x^3) and k[X,Y]/(XY, X^2)."""
+    kxy = poly_ring(("x", "y"), field)
+    kxyz = poly_ring(("x", "y", "z"), field)
+    x, y, z = kxyz.gens()
+    kXY = poly_ring(("X", "Y"), field)
+    X, Y = kXY.gens()
+    return [
+        make_algebra(kxy),
+        make_algebra(kxyz),
+        make_algebra(kxyz, [y * y * z - x**3]),
+        make_algebra(kXY, [X * Y, X * X]),
+    ]
+
+
 def regenerate(ideal, rng):
     """The same ideal with a new generating set.
 

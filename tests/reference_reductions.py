@@ -1,13 +1,16 @@
-"""The homogeneous search that `reductions.find_minimal_reduction` replaced,
-kept as the reference: it walks every degree multiset smallest-first and
-spends all its retries on each, including the multisets that ask for more
-generators of some degree than I has, whose candidates the rank test in
-F(I)_1 rejects every time."""
+"""The search that `reductions.find_minimal_reduction` replaced, kept as the
+reference.  On homogeneous I it walks every degree multiset smallest-first
+and spends all its retries on each, including the multisets that ask for
+more generators of some degree than I has, whose candidates the rank test in
+F(I)_1 rejects every time; it certifies through is_reduction, which reads
+the candidate's forms again.  On other input a candidate must have a
+minimal basis of spread elements (algebra.minimal_basis), not spread
+independent forms in F(I)_1."""
 
 import itertools
 import random
 
-from gradmult.algebra import AlgIdeal
+from gradmult.algebra import AlgIdeal, minimal_basis
 from gradmult.errors import SearchExhausted
 from gradmult.linalg import rref_insert
 from gradmult.monomials import monomials_of_degree
@@ -21,10 +24,10 @@ from gradmult.reductions import (
 
 
 def find_minimal_reduction(I, seed=0, retries=DEFAULT_RETRIES):
-    """The homogeneous branch of the search, every multiset tried."""
+    """The search with every multiset tried, and minimal_basis(J) on
+    non-homogeneous I."""
     algebra = I.algebra
-    if not I.is_homogeneous():
-        raise ValueError("the reference search takes homogeneous ideals only")
+    homogeneous = I.is_homogeneous()
     spread = analytic_spread(I)
     fiber = _fiber_cone(I)
     basis = fiber.generators
@@ -41,13 +44,27 @@ def find_minimal_reduction(I, seed=0, retries=DEFAULT_RETRIES):
         J = AlgIdeal(algebra, gens)
         if J.is_zero() or not J.is_proper():
             return None
-        echelon = {}
-        if sum(rref_insert(echelon, f.coeffs, field_) for f in _fiber_forms(fiber, J.gens)) < spread:
-            return None
+        if homogeneous:
+            echelon = {}
+            if sum(rref_insert(echelon, f.coeffs, field_) for f in _fiber_forms(fiber, J.gens)) < spread:
+                return None
+        else:
+            try:
+                if len(minimal_basis(J)) != spread:
+                    return None
+            except ValueError:
+                return None
         cert = is_reduction(J, I)
         if cert.ok:
             return (J, cert)
         return None
+
+    if not homogeneous:
+        for _ in range(retries):
+            hit = try_candidate([random_combination(basis) for _slot in range(spread)])
+            if hit:
+                return hit
+        raise SearchExhausted("no minimal reduction found", spread=spread, retries=retries)
 
     if any(not b.rep.is_homogeneous() for b in basis):
         raise ArithmeticError("homogeneous ideal produced a non-homogeneous basis")

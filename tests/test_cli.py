@@ -231,3 +231,49 @@ def test_run_large_exponent_reads_its_degree_sequence(tmp_path, capsys):
     values = doc["reports"][0]["values"]
     assert values["degree_sequence"] == [1, 65536]
     assert values["initial_minimal_generators"] == 2
+
+
+@pytest.mark.parametrize("command", [
+    "cmd min_reduction I seed=(1,2)",
+    "cmd min_reduction I seed=x",
+    "cmd rees_mult I mode=fastpath seed=abc",
+    "cmd fc_seq I I retries=(1,2)",
+    "cmd fc_seq I I retries=abc",
+    "cmd fc_seq I I retries=-1",
+    "cmd fc_seq I I seed=(1,2)",
+])
+def test_bad_seed_or_retries_is_a_usage_error(tmp_path, capsys, command):
+    text = "ring S vars [x, y] field qq relations [];\nideal I = [x, y^2];\n"
+    rc = main(["run", _write(tmp_path, "options.gm", text + command + ";\n")])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert doc["reports"][0]["error"]["code"] == "USAGE-ERROR"
+
+
+def test_a_negative_seed_is_taken(tmp_path, capsys):
+    text = "ring S vars [x, y] field qq relations [];\nideal I = [x, y^2];\ncmd min_reduction I seed=-3;\n"
+    rc = main(["run", _write(tmp_path, "options.gm", text)])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert doc["reports"][0]["values"]["reduction_witness"] == 0
+
+
+def test_quotient_route_reads_the_series(tmp_path, capsys):
+    # graded-mult of a non-homogeneous ideal, and mixed_quotient, answer with
+    # no window option; a window given to either is not read
+    text = (
+        "ring S vars [x, y] field fp(32003) relations [];\n"
+        "ideal P = [x + y^2];\nideal M = [x, y];\n"
+        "cmd transfer P kind=graded-mult;\n"
+        "cmd transfer P kind=graded-mult window=(1,3);\n"
+        "cmd mixed_quotient M x;\n"
+        "cmd mixed_quotient M x window=(1,3);\n"
+    )
+    rc = main(["run", _write(tmp_path, "quotient.gm", text)])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    for report in doc["reports"][:2]:
+        assert report["values"] == {"equal": True, "kind": "graded-mult", "lhs": 1, "rhs": 1}
+    for report in doc["reports"][2:]:
+        assert report["values"]["value"] == report["values"]["order_route"] == 1
+        assert report["agree"] is True

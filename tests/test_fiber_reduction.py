@@ -7,9 +7,10 @@ here.  Both must give the same certificate over small and large prime
 fields and qq, in polynomial rings, in a domain (the cusp y^2 z - x^3) and
 in quotients that are not domains: for minimal reductions drawn by
 `find_minimal_reduction` (witnesses 0 to 3) and for seeded J, some of which
-are not reductions.  The edge cases pin the bound DEFAULT_N_MAX from both
-sides, a quotient that is not Artinian, a nilpotent I, generators of J in
-mI, and which input takes which route.
+are not reductions.  The edge cases pin the power test's bound
+DEFAULT_N_MAX from both sides, past which only the fiber route answers, a
+quotient that is not Artinian, a nilpotent I, generators of J in mI, and
+which input takes which route.
 """
 
 import random
@@ -121,17 +122,22 @@ def test_fiber_route_matches_the_power_test(name, field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_the_bound_from_both_sides(field):
-    # (x^a, y^a) reduces (x^a, y^a, x y^(a-1)) with reduction number a - 1,
-    # so a = 9 gives the largest witness, DEFAULT_N_MAX, and a = 10 none
+    # (x^a, y^a) reduces (x^a, y^a, x y^(a-1)) with reduction number a - 1:
+    # the fiber cone reads it for every a, while the power test stops at
+    # DEFAULT_N_MAX, so a = 9 gives its largest witness and a = 10 none
     assert DEFAULT_N_MAX == 8
     kxy = _algebra(("x", "y"), field)
     x, y = kxy.gens()
-    for a, witness in ((9, 8), (10, None)):
+    for a in (9, 10, 12):
         I = AlgIdeal(kxy, [x**a, y**a, x * y ** (a - 1)])
         J = AlgIdeal(kxy, [x**a, y**a])
         cert = is_reduction(J, I)
-        assert cert == _power_witness(J, I)
-        assert cert.n_witness == witness
+        assert cert == _fiber_witness(J, I)
+        assert (cert.verdict, cert.n_witness) == ("REDUCTION", a - 1)
+        power = _power_witness(J, I)
+        assert power.n_witness == (a - 1 if a - 1 <= DEFAULT_N_MAX else None)
+        if power.ok:
+            assert power == cert
 
 
 def test_a_quotient_that_is_not_artinian_is_inconclusive(kxy):

@@ -12,26 +12,11 @@ import random
 import pytest
 
 from gradmult import QQ, AlgIdeal, PrimeField, make_algebra, minimal_basis, poly_ring
-from conftest import random_poly, regenerate
+from conftest import four_algebras as _algebras, random_poly, regenerate
 import reference_minimal_basis
 
 FIELDS = [PrimeField(2), PrimeField(3), PrimeField(32003), PrimeField(2147483647), QQ]
 DRAWS = 12
-
-
-def _algebras(field):
-    """k[x,y], k[x,y,z], the cusp k[x,y,z]/(y^2 z - x^3) and k[X,Y]/(XY, X^2)."""
-    kxy = poly_ring(("x", "y"), field)
-    kxyz = poly_ring(("x", "y", "z"), field)
-    x, y, z = kxyz.gens()
-    kXY = poly_ring(("X", "Y"), field)
-    X, Y = kXY.gens()
-    return [
-        make_algebra(kxy),
-        make_algebra(kxyz),
-        make_algebra(kxyz, [y * y * z - x**3]),
-        make_algebra(kXY, [X * Y, X * X]),
-    ]
 
 
 def _outcome(route, algebra, gens):

@@ -1,7 +1,10 @@
 """Length oracle, Samuel multiplicity fast paths, quotient multiplicity."""
 
+import inspect
+
 import pytest
 
+import reference_quotient
 from gradmult import (
     QQ,
     AlgIdeal,
@@ -175,10 +178,13 @@ def test_quotient_multiplicity_homogeneous(kxy, hyper):
 
 
 def test_quotient_multiplicity_differenced(kxy):
+    # the windowed reference differences the lengths to the series' value
     x, y = kxy.gens()
     res = quotient_multiplicity(AlgIdeal(kxy, [x + y * y]))
     assert res.value == 1
-    assert res.method == "finite-difference-oracle"
+    assert res.method == "homogeneous-series"
+    ref = reference_quotient.quotient_multiplicity(AlgIdeal(kxy, [x + y * y]))
+    assert (ref.value, ref.method) == (1, "finite-difference-oracle")
 
 
 def test_quotient_multiplicity_artinian_quotient(nondomain):
@@ -189,19 +195,25 @@ def test_quotient_multiplicity_artinian_quotient(nondomain):
 
 
 def test_quotient_multiplicity_artinian_window_follows_colength(hyper):
-    # the local lengths read 1, 2, ..., 6, 6, 6: past the old default window (1, 6)
+    # the local lengths read 1, 2, ..., 6, 6, 6: past the reference's old
+    # default window (1, 6), so its window follows the colength; the series
+    # reads the colength itself
     x, y, z = hyper.gens()
     res = quotient_multiplicity(AlgIdeal(hyper, [x + y * y, z - x * x]))
     assert res.value == 6
-    assert res.window == (1, 9)
+    assert res.witness == {"dimension": 0}
+    ref = reference_quotient.quotient_multiplicity(AlgIdeal(hyper, [x + y * y, z - x * x]))
+    assert (ref.value, ref.window) == (6, (1, 9))
 
 
 def test_quotient_multiplicity_guards(kxy):
     x, y = kxy.gens()
     with pytest.raises(ValueError):
         quotient_multiplicity(AlgIdeal(kxy, [kxy.one()]))
+    # the series route takes no window; the reference refuses a short one
+    assert "window" not in inspect.signature(quotient_multiplicity).parameters
     with pytest.raises(ValueError):
-        quotient_multiplicity(AlgIdeal(kxy, [x + y * y]), window=(1, 3))
+        reference_quotient.quotient_multiplicity(AlgIdeal(kxy, [x + y * y]), window=(1, 3))
 
 
 def test_quotient_multiplicity_unit_at_the_origin(kxy):
@@ -218,18 +230,24 @@ def test_quotient_multiplicity_takes_the_local_dimension(field):
     # (x(z - 1), y(z - 1)) is the z-axis plus the plane z = 1
     plane = make_algebra(poly_ring(("x", "y"), field))
     x, y = plane.gens()
-    point = quotient_multiplicity(AlgIdeal(plane, [x * (x - 1), y * (x - 1)]))
-    assert (point.value, point.window) == (1, (1, 6))
+    point = AlgIdeal(plane, [x * (x - 1), y * (x - 1)])
+    res = quotient_multiplicity(point)
+    assert (res.value, res.witness) == (1, {"dimension": 0})
+    ref = reference_quotient.quotient_multiplicity(point)
+    assert (ref.value, ref.window) == (1, (1, 6))
     space = make_algebra(poly_ring(("x", "y", "z"), field))
     x, y, z = space.gens()
-    axis = quotient_multiplicity(AlgIdeal(space, [x * (z - 1), y * (z - 1)]))
-    assert axis.value == 1
-    assert axis.witness["differences"][-3:] == [1, 1, 1]
+    axis = AlgIdeal(space, [x * (z - 1), y * (z - 1)])
+    res = quotient_multiplicity(axis)
+    assert (res.value, res.witness) == (1, {"dimension": 1})
+    ref = reference_quotient.quotient_multiplicity(axis)
+    assert ref.value == 1
+    assert ref.witness["differences"][-3:] == [1, 1, 1]
 
 
 def algebra_power_colength(I, k):
     """l(S/(I + m^k)) with m^k taken from the algebra's own ideal powers,
-    the generators quotient_multiplicity used before adic_colength."""
+    the generators the windowed route used before adic_colength."""
     mk = I.algebra.irrelevant_power(k)
     return PolyIdeal(I.algebra.ring, I.lift.gens + tuple(g.rep for g in mk.gens)).k_dimension()
 
@@ -246,9 +264,10 @@ def test_quotient_multiplicity_lengths_match_algebra_powers(field):
     ]
     for algebra, gens in cases:
         I = AlgIdeal(algebra, gens)
-        res = quotient_multiplicity(I)
+        res = reference_quotient.quotient_multiplicity(I)
         lo, hi = res.window
         lengths = [algebra_power_colength(I, k) for k in range(lo, hi + 1)]
         assert lengths == [adic_colength(ring, I.lift.gens, k) for k in range(lo, hi + 1)]
         value, witness = stable_difference(lengths, I.lift.krull_dimension(), res.window)
         assert (res.value, res.witness) == (value, witness)
+        assert quotient_multiplicity(I).value == value

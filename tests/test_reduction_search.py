@@ -1,14 +1,19 @@
-"""The minimal-reduction search skips degree multisets it can never certify.
+"""The minimal-reduction search skips degree multisets it can never certify
+and reads each candidate's forms in F(I)_1 once.
 
 On homogeneous I, `find_minimal_reduction` passes over a multiset in which
 some degree occurs more often than I has minimal generators of that degree,
 taking from its generator the coefficients the rejected draws would have
-taken.  So it must return what the search that tries every multiset
+taken, and certifies a candidate from the same forms its rank test read.
+On any I a candidate needs spread independent forms, where the replaced
+search asked non-homogeneous candidates for a minimal basis of spread
+elements.  So it must return what the reference search
 (`reference_reductions`) returns, generator for generator, with the same
 certificate, or raise the same SearchExhausted payload: over small and large
 prime fields and qq, for seeds 0 to 3, on ideals whose first multiset is
-skipped and on ideals where none is.  The counts pin the saving: one
-candidate per search where the whole first multiset was drawn before.
+skipped, on ideals where none is, and on non-homogeneous ideals.  The counts
+pin the saving: one candidate per search, its forms read once, where the
+whole first multiset was drawn before.
 """
 
 import pytest
@@ -31,7 +36,25 @@ IDEALS = {
         ("x", "y", "z"), lambda x, y, z: [], lambda x, y, z: [x * x, y * y, z * z, x * y, y * z],
     ),
     "cusp (x, y, z)": (("x", "y", "z"), lambda x, y, z: [y * y * z - x**3], lambda x, y, z: [x, y, z]),
+    # homogeneous as an ideal, (xy, y^2, x^3) ((y^2, x^3) over fp(2)), but
+    # with no homogeneous minimal reduction of two generators: exhausted
+    "(8xy - 6xy^2, 8x^3y - 6xy, x^3, y^2)": (
+        ("x", "y"), lambda x, y: [],
+        lambda x, y: [8 * x * y - 6 * x * y * y, 8 * x**3 * y - 6 * x * y, x**3, y * y],
+    ),
+    # not homogeneous: the rank test in F(I)_1 against minimal_basis(J)
+    "(x + y^2, y^3)": (("x", "y"), lambda x, y: [], lambda x, y: [x + y * y, y**3]),
+    "(x^2 + y^3, x^2y, y^4)": (("x", "y"), lambda x, y: [], lambda x, y: [x * x + y**3, x * x * y, y**4]),
+    "(x + y^2, y^2 + z^3, z^4)": (
+        ("x", "y", "z"), lambda x, y, z: [], lambda x, y, z: [x + y * y, y * y + z**3, z**4],
+    ),
+    "(x + y^2, y^3 + z^2, yz, z^3)": (
+        ("x", "y", "z"), lambda x, y, z: [], lambda x, y, z: [x + y * y, y**3 + z * z, y * z, z**3],
+    ),
+    "cusp (x + y^2, z)": (("x", "y", "z"), lambda x, y, z: [y * y * z - x**3], lambda x, y, z: [x + y * y, z]),
+    "fat line (X + Y^2, Y^3)": (("X", "Y"), lambda X, Y: [X * Y, X * X], lambda X, Y: [X + Y * Y, Y**3]),
 }
+NON_HOMOGENEOUS = list(IDEALS)[list(IDEALS).index("(x + y^2, y^3)"):]
 
 
 def _ideal(name, field):
@@ -60,28 +83,15 @@ def test_the_search_matches_the_reference(name, field, retries):
 
 
 def _count_candidates(monkeypatch):
-    """Count the rank tests of the search (the _fiber_forms calls made
-    outside is_reduction, whose own witness reads the forms again) and the
-    is_reduction calls."""
-    calls = {"rank tests": 0, "is_reduction": 0}
-    certifying = []
-    forms, certify = reductions._fiber_forms, reductions.is_reduction
+    """Count the reads of candidate forms (_fiber_forms), the certificates
+    read off them (_fiber_certificate) and the is_reduction calls."""
+    calls = {"_fiber_forms": 0, "_fiber_certificate": 0, "is_reduction": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(reductions, name)):
+            calls[_name] += 1
+            return _real(*args)
 
-    def counted_forms(fiber, gens):
-        if not certifying:
-            calls["rank tests"] += 1
-        return forms(fiber, gens)
-
-    def counted_is_reduction(J, I):
-        calls["is_reduction"] += 1
-        certifying.append(J)
-        try:
-            return certify(J, I)
-        finally:
-            certifying.pop()
-
-    monkeypatch.setattr(reductions, "_fiber_forms", counted_forms)
-    monkeypatch.setattr(reductions, "is_reduction", counted_is_reduction)
+        monkeypatch.setattr(reductions, name, counted)
     return calls
 
 
@@ -90,7 +100,8 @@ def test_one_candidate_per_search(name, monkeypatch):
     calls = _count_candidates(monkeypatch)
     J, cert = find_minimal_reduction(_ideal(name, PrimeField(32003)))
     assert cert.ok
-    assert calls == {"rank tests": 1, "is_reduction": 1}
+    # one candidate, its forms read once and certified from them
+    assert calls == {"_fiber_forms": 1, "_fiber_certificate": 1, "is_reduction": 0}
 
 
 @pytest.mark.parametrize("name, multisets", [
@@ -102,4 +113,15 @@ def test_exhaustion_lists_the_skipped_multisets(name, multisets, monkeypatch):
     with pytest.raises(SearchExhausted) as exc:
         find_minimal_reduction(_ideal(name, PrimeField(32003)), retries=0)
     assert exc.value.details == {"spread": 2, "multisets": multisets, "retries": 0}
-    assert calls == {"rank tests": 0, "is_reduction": 0}
+    assert calls == {"_fiber_forms": 0, "_fiber_certificate": 0, "is_reduction": 0}
+
+
+@pytest.mark.parametrize("name", NON_HOMOGENEOUS)
+def test_non_homogeneous_candidates_read_their_forms_once(name, monkeypatch):
+    # the rank test reads the forms; the power test certifies
+    I = _ideal(name, PrimeField(32003))
+    assert not I.is_homogeneous()
+    calls = _count_candidates(monkeypatch)
+    J, cert = find_minimal_reduction(I)
+    assert cert.ok
+    assert calls == {"_fiber_forms": 1, "_fiber_certificate": 0, "is_reduction": 1}
