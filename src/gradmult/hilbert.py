@@ -238,8 +238,9 @@ class BlockSeries:
     (x-degree, weight, block degrees).  Then come the blocks in order: a
     variable of weight w in block k has degree (0, w, e_k).  The numerator
     terms are grouped by block degree once, and the (x-degree, weight)
-    numerator at a block degree and the weights of a block's monomials of one
-    degree are each built once, when first asked for.
+    numerator at a block degree, the weights of a block's monomials of one
+    degree and the slice at a (block degree, x-degree bound) are each built
+    once, when first asked for.
     """
 
     def __init__(self, leads, n, blocks):
@@ -256,6 +257,8 @@ class BlockSeries:
             self._terms.setdefault(d[2:], []).append((d[0], d[1], c))
         self._grids = {}
         self._weights = {}
+        self._slices = {}
+        self._one_minus_t_n = [(-1) ** i * math.comb(n, i) for i in range(n + 1)]
 
     def _block_weights(self, k, d):
         """{weight: count} of the degree-d monomials in block k's variables,
@@ -327,24 +330,32 @@ class BlockSeries:
     def slice(self, b, c=0):
         """Numerator over (1 - t)^n of sum_t h_t t^t, where h_t counts the
         standard monomials of block degree b, x-degree at least c and
-        x-degree plus weight t, as a trimmed list.
+        x-degree plus weight t, as a trimmed list, shared between callers
+        and never mutated.
 
-        It is the whole series less the polynomial of the x-degrees below c
-        (_x_degree).
+        At c = 0 it is the grid's numerator with x-degree and weight added.
+        Each step c - 1 -> c takes away the x-degree c - 1 row of
+        _x_degree, a polynomial in t times (1 - t)^n, so the slice of
+        (b, c) is built once from that of (b, c - 1).
         """
-        n = self.n
-        grid = self._grid(b)
-        num = [0] * (max((a + w for a, w in grid), default=-1) + 1)
-        for (a, w), v in grid.items():
-            num[a + w] += v
-        low = {}
+        b = tuple(b)
+        out = self._slices.get((b, c))
+        if out is not None:
+            return out
+        if (b, 0) not in self._slices:
+            grid = self._grid(b)
+            num = [0] * (max((a + w for a, w in grid), default=-1) + 1)
+            for (a, w), v in grid.items():
+                num[a + w] += v
+            self._slices[(b, 0)] = _poly_trim(num)
         for a in range(c):
-            for w, v in self._x_degree(grid, a).items():
-                low[a + w] = low.get(a + w, 0) + v
-        if low:
-            below = [0] * (max(low) + 1)
-            for e, v in low.items():
-                below[e] = v
-            one_minus_t_n = [(-1) ** i * math.comb(n, i) for i in range(n + 1)]
-            num = _poly_add(num, [-v for v in _poly_mul(below, one_minus_t_n)])
-        return _poly_trim(num)
+            if (b, a + 1) in self._slices:
+                continue
+            row = self._x_degree(self._grid(b), a)
+            below = [0] * (a + max(row, default=-1) + 1)
+            for w, v in row.items():
+                below[a + w] -= v
+            self._slices[(b, a + 1)] = _poly_add(
+                self._slices[(b, a)], _poly_mul(below, self._one_minus_t_n)
+            )
+        return self._slices[(b, c)]

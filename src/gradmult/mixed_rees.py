@@ -8,7 +8,9 @@ standard monomials of one multi-Rees presentation S[I_1 t_1, .., I_s t_s]
 Rees multiplicity comes from the (x, T)-adic colengths of the presentation
 rees.rees_presentation gives, read off the Hilbert function of its tangent
 cone at the origin (one Lazard standard basis for every length).  Fast paths
-are the degree-sequence product formulas; the two sides are never mixed.
+are the degree-sequence product formulas, on the degrees of the minimal
+reduction the search certifies (reductions.reduction_degrees); the two sides
+are never mixed.
 """
 
 import itertools
@@ -16,7 +18,6 @@ from collections import namedtuple
 from math import factorial, prod
 
 from .algebra import AlgIdeal
-from .degseq import degree_sequence
 from .errors import FitMismatch, HypothesisFail
 from .groebner import PolyIdeal
 from .linalg import rref_insert, solve
@@ -28,6 +29,7 @@ from .reductions import (
     find_minimal_reduction,
     height_and_equimultiple,
     is_reduction,
+    reduction_degrees,
 )
 from .rees import multi_rees, rees_presentation
 from .scalars import QQ
@@ -55,10 +57,11 @@ def rees_multiplicity_oracle(I, window=None):
 
 
 def _reduction_degrees(I, h, degseq, seed):
-    """The given degree sequence, else that of a minimal reduction; h entries."""
+    """The given degree sequence, else that of a minimal reduction, read off
+    the search (reductions.reduction_degrees); h entries."""
     if degseq is None:
         J, _ = find_minimal_reduction(I, seed=seed)
-        degseq = degree_sequence(J)
+        degseq = reduction_degrees(I, J)
     degseq = tuple(degseq)
     if len(degseq) != h:
         raise ValueError(f"degree sequence must have height = {h} entries")
@@ -146,13 +149,23 @@ def _bhattacharya_columns(ideals, n0s, axes):
     product of the axes, K = prod_k I_k^(ns_k), off one presentation.
 
     The homogeneous components of the generators of each graded I_k lie in
-    it and generate it; they are block k of S[I_1 t_1, .., I_s t_s]
-    (rees.multi_rees).  By the counting argument of the rees module the
-    layer has length the number of standard monomials of block degree ns
-    and x-degree exactly a (BlockSeries.layer); ns = 0 gives K = S.
+    it and generate it; made monic and listed as algebra.minimal_basis lists
+    its members (degree, then descending lead), they are block k of
+    S[I_1 t_1, .., I_s t_s] (rees.multi_rees).  Lengths do not depend on
+    how a block is scaled or ordered, and a block that is the minimal basis
+    of I_k gives the presentation reductions._fiber_cone builds for I_k, one
+    basis for both.  By the counting argument of the rees module the layer
+    has length the number of standard monomials of block degree ns and
+    x-degree exactly a (BlockSeries.layer); ns = 0 gives K = S.
     """
+    key = ideals[0].algebra.ring.order.key
     blocks = [
-        list(dict.fromkeys(c for g in I.gens for c in g.rep.homogeneous_components().values()))
+        sorted(
+            dict.fromkeys(
+                c.monic() for g in I.gens for c in g.rep.homogeneous_components().values()
+            ),
+            key=lambda c: (c.degree(), -key(c.leading_monomial())),
+        )
         for I in ideals
     ]
     series = multi_rees(ideals[0].algebra.defining, blocks).series()
@@ -397,8 +410,8 @@ def invariance_check(I, E, with_oracle=True, seed=0):
         )
     J_i, _ = find_minimal_reduction(I, seed=seed)
     J_e, _ = find_minimal_reduction(E, seed=seed)
-    seq_i = degree_sequence(J_i)
-    seq_e = degree_sequence(J_e)
+    seq_i = reduction_degrees(I, J_i)
+    seq_e = reduction_degrees(E, J_e)
     fp_i = rees_multiplicity_fastpath(I, degseq=seq_i)
     fp_e = rees_multiplicity_fastpath(E, degseq=seq_e)
     oracles = ()

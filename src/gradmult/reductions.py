@@ -6,7 +6,9 @@ Hilbert series of the fiber cone F(I) = k[T]/Phi (Northcott-Rees), Phi from
 rees.rees_presentation, so no product J I^n is built and n has no bound.
 The same Phi gives the analytic spread, its Krull dimension, and the
 degree-one piece I/mI of F(I) settles which candidates of a reduction search
-are minimally generated.  Other input compares I^(n+1) with J I^n for
+are minimally generated, so on homogeneous input the degrees of the
+generators the search drew are the degree sequence of the reduction it
+returns (reduction_degrees).  Other input compares I^(n+1) with J I^n for
 n = 0 .. DEFAULT_N_MAX.
 
 FC checks run inside quotients by earlier sequence members; those quotients
@@ -26,6 +28,7 @@ import random
 from collections import Counter, namedtuple
 
 from .algebra import AlgIdeal, minimal_basis
+from .degseq import degree_sequence
 from .errors import SearchExhausted
 from .groebner import PolyIdeal
 from .hilbert import _poly_add, leading_series
@@ -279,6 +282,22 @@ def find_minimal_reduction(I, seed=0, retries=DEFAULT_RETRIES):
     raise SearchExhausted("no minimal reduction found", spread=spread, retries=retries)
 
 
+def reduction_degrees(I, J):
+    """The degree sequence of the minimal reduction J of I that
+    find_minimal_reduction returned, as a tuple.
+
+    On homogeneous I the search certified J with exactly spread nonzero
+    homogeneous generators whose forms are independent in F(I)_1 = I/mI.
+    As mJ lies in mI, their classes are independent in J/mJ as well, so by
+    graded Nakayama they are a minimal basis of J, and the sequence is their
+    sorted degrees: no basis of J or of mJ is built.  Other input reads
+    degree_sequence(J).
+    """
+    if I.is_homogeneous():
+        return tuple(sorted(g.order for g in J.gens))
+    return degree_sequence(J)
+
+
 # -- weak-FC checks ----------------------------------------------------------
 
 
@@ -375,7 +394,8 @@ class _ReesFc1:
     standard monomials (see _fc_check_on_lift): K_(n+e) and x K_n off
     S[I_k t_k, x u], K-bar_(n+e) off (S/x)[I_k t_k].  The ideals equal to m
     get no block; their exponents add up to the x-degree bound c.  The
-    series of one block degree are built once, whichever tuples ask.
+    series of one block degree and bound c are built once, whichever tuples
+    ask (BlockSeries.slice).
     """
 
     def __init__(self, base, x_rep, gen_lists, slot):
@@ -396,15 +416,49 @@ class _ReesFc1:
         return self.full.slice(b + (0,), c) == _poly_add(self.bar.slice(b, c), right)
 
 
+def _fc2_saturation(base, gen_lists):
+    """sat = base : (K_1 .. K_r)^infinity, K_k generated by gen_lists[k],
+    saturating only by the ideals no other one of the tuple lies inside.
+
+    In R/base, f lies in sat when a power of the product kills it, and that
+    depends only on the radical of the product, the intersection of the
+    rad(K_k + base): if rad(A + base) = rad(B + base), each of A, B has a
+    power inside the other modulo base (R is Noetherian), so a power of A
+    kills f modulo base iff a power of B does.  If K_i + base lies inside
+    K_k + base, rad(K_k + base) contains rad(K_i + base), so dropping K_k
+    leaves the intersection, and sat, unchanged.  K_k is dropped when some
+    K_i with i != k lies inside it modulo base and either K_k does not lie
+    inside K_i or i < k: of equal ideals the first stays.  That relation has
+    no cycles, so below every dropped ideal a kept one lies inside it, and
+    the kept ones give the same intersection.  For the tuple (J, I, m) of a
+    weak-FC sequence, J inside I inside m, only J is left.  The kept ideals
+    are saturated by in turn:
+    base : (K_1 K_2)^infinity = (base : K_1^infinity) : K_2^infinity.
+    """
+    ring = base.ring
+    sums = [PolyIdeal(ring, base.gens + tuple(gl)) for gl in gen_lists]
+
+    def inside(i, k):
+        return all(sums[k].contains(g) for g in gen_lists[i])
+
+    sat = base
+    for k, gl in enumerate(gen_lists):
+        if any(i != k and inside(i, k) and (i < k or not inside(k, i))
+               for i in range(len(gen_lists))):
+            continue
+        sat = sat.saturate(PolyIdeal(ring, tuple(gl)))
+    return sat
+
+
 def _fc_check_on_lift(base, x, gen_lists, slot, window):
     """FC2 and windowed FC1 for the element x over the given base lift.
 
     x must lie in its slot ideal modulo base.  With ann = base : x, FC2 is
-    ann contained in sat, the saturation of base by the product of the ideals,
-    taken as base saturated by each ideal in turn:
-    base : (K_1 K_2)^infinity = (base : K_1^infinity) : K_2^infinity.
-    At a window tuple n, with K_n the product (base included), B = K_(n+e_slot)
-    and A = base + x, FC1 asks A cap B = base + x K_n.
+    ann contained in sat, the saturation of base by the product of the
+    ideals, one saturation per ideal that no other one lies inside
+    (_fc2_saturation).  At a window tuple n, with K_n the product (base
+    included), B = K_(n+e_slot) and A = base + x, FC1 asks
+    A cap B = base + x K_n.
 
     On homogeneous input (base, x and every generator), work in S = R/base,
     where FC1 reads K_(n+e) cap xS = x K_n.  The right side lies in the left
@@ -436,9 +490,7 @@ def _fc_check_on_lift(base, x, gen_lists, slot, window):
     is the cached K_n.
     """
     ring = base.ring
-    sat = base
-    for gl in gen_lists:
-        sat = sat.saturate(PolyIdeal(ring, tuple(gl)))
+    sat = _fc2_saturation(base, gen_lists)
     if sat.is_unit():
         raise ValueError("product of the ideals is nilpotent modulo the base")
     ann = base.colon(x.rep)

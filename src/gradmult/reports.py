@@ -28,7 +28,12 @@ from .multiplicity import (
     samuel_fastpath_general,
     samuel_oracle,
 )
-from .reductions import DEFAULT_RETRIES, build_fc_sequence, find_minimal_reduction
+from .reductions import (
+    DEFAULT_RETRIES,
+    build_fc_sequence,
+    find_minimal_reduction,
+    reduction_degrees,
+)
 
 SCHEMA_VERSION = 1
 
@@ -115,11 +120,18 @@ def _all_elements(session, command, start=0):
     return out
 
 
+def _choice(command, key, allowed, default):
+    """The value of an option that names one of allowed, else the default."""
+    if key not in command.options:
+        return default
+    value = command.options[key]
+    if value not in allowed:
+        raise UsageError(f"{key} must be one of {allowed}", **{key: value})
+    return value
+
+
 def _mode(command, allowed=("oracle", "fastpath", "both")):
-    mode = command.options.get("mode", "both")
-    if mode not in allowed:
-        raise UsageError(f"mode must be one of {allowed}", mode=mode)
-    return mode
+    return _choice(command, "mode", allowed, "both")
 
 
 def _window(command, key="window"):
@@ -251,7 +263,7 @@ def _cmd_samuel_domain(session, command):
     if len(command.args) < 2 or command.args[1] not in session.ideals:
         raise UsageError("samuel_domain needs a second ideal (the reduction)")
     J = session.ideals[command.args[1]]
-    domain = command.options.get("domain") == "asserted"
+    domain = _choice(command, "domain", ("asserted",), None) is not None
     mode = _mode(command)
     window = _window(command)
     return _dual_route(
@@ -267,6 +279,8 @@ def _cmd_transfer(session, command):
     kind = command.options.get("kind")
     if kind not in ("colength", "samuel", "graded-mult"):
         raise UsageError("transfer needs kind=colength|samuel|graded-mult", kind=kind)
+    if kind != "samuel" and "window" in command.options:
+        raise UsageError(f"transfer kind={kind} reads no window", kind=kind)
     window = _window(command)
     rep = verify_initial_transfer(ideal, kind, window=window)
     values = {
@@ -342,7 +356,7 @@ def _cmd_min_reduction(session, command):
     J, cert = find_minimal_reduction(ideal, seed=seed)
     values = {
         "generators": [repr(g.rep) for g in J.gens],
-        "degree_sequence": list(degree_sequence(J)),
+        "degree_sequence": list(reduction_degrees(ideal, J)),
         "reduction_witness": cert.n_witness,
     }
     return values, {}, {}, None, ()
@@ -375,7 +389,7 @@ def _cmd_invariance(session, command):
         raise UsageError("invariance needs two ideals")
     E = session.ideals[command.args[1]]
     seed = _seed(command, session)
-    with_oracle = command.options.get("oracle", "on") != "off"
+    with_oracle = _choice(command, "oracle", ("on", "off"), "on") == "on"
     rep = invariance_check(I, E, with_oracle=with_oracle, seed=seed)
     values = {
         "closure_certified": rep.closure_certified,
@@ -413,20 +427,22 @@ def _cmd_mixed_quotient(session, command):
     return values, methods, {}, rep.agree, TAG_QUOTIENT
 
 
+# each command's handler and the options it reads; any other option is a
+# usage error, so a misspelled one is never dropped in silence
 _HANDLERS = {
-    "ring_info": _cmd_ring_info,
-    "order": _cmd_order,
-    "degseq": _cmd_degseq,
-    "initial_ideal": _cmd_initial_ideal,
-    "samuel": _cmd_samuel,
-    "samuel_domain": _cmd_samuel_domain,
-    "transfer": _cmd_transfer,
-    "rees_mult": _cmd_rees_mult,
-    "mixed": _cmd_mixed,
-    "min_reduction": _cmd_min_reduction,
-    "fc_seq": _cmd_fc_seq,
-    "invariance": _cmd_invariance,
-    "mixed_quotient": _cmd_mixed_quotient,
+    "ring_info": (_cmd_ring_info, ()),
+    "order": (_cmd_order, ()),
+    "degseq": (_cmd_degseq, ()),
+    "initial_ideal": (_cmd_initial_ideal, ()),
+    "samuel": (_cmd_samuel, ("mode", "window")),
+    "samuel_domain": (_cmd_samuel_domain, ("mode", "window", "domain")),
+    "transfer": (_cmd_transfer, ("kind", "window")),
+    "rees_mult": (_cmd_rees_mult, ("mode", "window", "seed")),
+    "mixed": (_cmd_mixed, ("mode", "n0", "n", "seed")),
+    "min_reduction": (_cmd_min_reduction, ("seed",)),
+    "fc_seq": (_cmd_fc_seq, ("seed", "retries")),
+    "invariance": (_cmd_invariance, ("seed", "oracle")),
+    "mixed_quotient": (_cmd_mixed_quotient, ()),
 }
 
 
@@ -450,10 +466,16 @@ def run_command(session, command):
         "options": {k: _jsonable(v) for k, v in command.options.items()},
         "inputs": _inputs_for(session, command),
     }
-    handler = _HANDLERS.get(command.op)
     try:
-        if handler is None:
+        if command.op not in _HANDLERS:
             raise UsageError(f"unknown command {command.op!r}", op=command.op)
+        handler, options = _HANDLERS[command.op]
+        unread = [k for k in command.options if k not in options]
+        if unread:
+            raise UsageError(
+                f"{command.op} reads no option {unread[0]!r}",
+                options=unread, reads=list(options),
+            )
         values, methods, witnesses, agree, tags = handler(session, command)
         report["tags"] = list(tags)
         report["status"] = "ok"

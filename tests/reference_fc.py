@@ -10,6 +10,9 @@ references.
 - The shifted sums of Hilbert series that route compares
   (shifted_series_difference), the form of hilbert.series_difference
   before it took just two ideals and divided by (1-t)^n.
+- The saturation of FC2 by every ideal of the tuple in turn
+  (reference_saturation), before `reductions._fc2_saturation` dropped the
+  ideals that contain another one modulo the base.
 """
 
 from gradmult import PolyIdeal
@@ -70,3 +73,11 @@ def reference_fc1(cache, x_rep, slot, exps):
     """The FC1 verdict at exps over the base lift of cache."""
     base_x = PolyIdeal(cache.ring, cache.base + (x_rep,))
     return _fc1_intersection(cache, base_x, x_rep, slot, exps)
+
+
+def reference_saturation(base, gen_lists):
+    """base : (K_1 .. K_r)^infinity as (..(base : K_1^infinity) ..) : K_r^infinity."""
+    sat = base
+    for gl in gen_lists:
+        sat = sat.saturate(PolyIdeal(base.ring, tuple(gl)))
+    return sat

@@ -3,11 +3,16 @@
 
 A box is one x-degree a and one block degree b.  It holds finitely many
 monomials x^alpha T^beta, and each is tested against every lead.
+
+Also `BlockSeries.slice` as it was before it cached slices and built the
+bound c from c - 1 (uncached_slice): every call sums the rows of the
+x-degrees below c afresh.
 """
 
 import itertools
 import math
 
+from gradmult.hilbert import _poly_add, _poly_mul, _poly_trim
 from gradmult.monomials import mono_divides, monomials_of_degree
 
 
@@ -69,3 +74,24 @@ def series_coefficients(numerator, n, top):
         sum(q * math.comb(t - j + n - 1, n - 1) for j, q in enumerate(numerator) if j <= t)
         for t in range(top + 1)
     ]
+
+
+def uncached_slice(series, b, c=0):
+    """series.slice(b, c): the whole series less the polynomial of the
+    x-degrees below c, both built afresh."""
+    n = series.n
+    grid = series._grid(b)
+    num = [0] * (max((a + w for a, w in grid), default=-1) + 1)
+    for (a, w), v in grid.items():
+        num[a + w] += v
+    low = {}
+    for a in range(c):
+        for w, v in series._x_degree(grid, a).items():
+            low[a + w] = low.get(a + w, 0) + v
+    if low:
+        below = [0] * (max(low) + 1)
+        for e, v in low.items():
+            below[e] = v
+        one_minus_t_n = [(-1) ** i * math.comb(n, i) for i in range(n + 1)]
+        num = _poly_add(num, [-v for v in _poly_mul(below, one_minus_t_n)])
+    return _poly_trim(num)

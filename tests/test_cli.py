@@ -260,20 +260,68 @@ def test_a_negative_seed_is_taken(tmp_path, capsys):
 
 def test_quotient_route_reads_the_series(tmp_path, capsys):
     # graded-mult of a non-homogeneous ideal, and mixed_quotient, answer with
-    # no window option; a window given to either is not read
+    # no window option; a window given to either is a usage error, since
+    # neither reads one
     text = (
         "ring S vars [x, y] field fp(32003) relations [];\n"
         "ideal P = [x + y^2];\nideal M = [x, y];\n"
         "cmd transfer P kind=graded-mult;\n"
-        "cmd transfer P kind=graded-mult window=(1,3);\n"
         "cmd mixed_quotient M x;\n"
-        "cmd mixed_quotient M x window=(1,3);\n"
     )
     rc = main(["run", _write(tmp_path, "quotient.gm", text)])
     doc = json.loads(capsys.readouterr().out)
     assert rc == 0
-    for report in doc["reports"][:2]:
-        assert report["values"] == {"equal": True, "kind": "graded-mult", "lhs": 1, "rhs": 1}
-    for report in doc["reports"][2:]:
-        assert report["values"]["value"] == report["values"]["order_route"] == 1
-        assert report["agree"] is True
+    report = doc["reports"][0]
+    assert report["values"] == {"equal": True, "kind": "graded-mult", "lhs": 1, "rhs": 1}
+    report = doc["reports"][1]
+    assert report["values"]["value"] == report["values"]["order_route"] == 1
+    assert report["agree"] is True
+    for command in ("cmd transfer P kind=graded-mult window=(1,3)", "cmd mixed_quotient M x window=(1,3)"):
+        rc = main(["run", _write(tmp_path, "quotient.gm", text + command + ";\n")])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert [r["status"] for r in doc["reports"]] == ["ok", "ok", "error"]
+        assert doc["reports"][2]["error"]["code"] == "USAGE-ERROR"
+
+
+@pytest.mark.parametrize("command, message", [
+    # a misspelled option name: the routes it meant to pick would all run
+    ("cmd rees_mult I mdoe=fastpath", "rees_mult reads no option 'mdoe'"),
+    ("cmd min_reduction I sead=3", "min_reduction reads no option 'sead'"),
+    # an option the command never reads
+    ("cmd degseq I mode=both", "degseq reads no option 'mode'"),
+    ("cmd fc_seq I I window=(1,5)", "fc_seq reads no option 'window'"),
+    ("cmd transfer I kind=colength window=(1,5)", "transfer kind=colength reads no window"),
+    # a misspelled value of a named choice: the oracles would run
+    ("cmd invariance I I oracle=of", "oracle must be one of ('on', 'off')"),
+    ("cmd invariance I I oracle=1", "oracle must be one of ('on', 'off')"),
+    ("cmd samuel_domain I I domain=asserte", "domain must be one of ('asserted',)"),
+])
+def test_unread_or_misspelled_options_are_usage_errors(tmp_path, capsys, command, message):
+    text = "ring S vars [x, y] field qq relations [];\nideal I = [x, y^2];\n"
+    rc = main(["run", _write(tmp_path, "options.gm", text + command + ";\n")])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    error = doc["reports"][0]["error"]
+    assert (error["code"], error["message"]) == ("USAGE-ERROR", message)
+
+
+def test_every_option_a_command_reads_is_taken(tmp_path, capsys):
+    text = (
+        "ring S vars [x, y] field qq relations [];\nideal I = [x, y^2];\n"
+        "ideal E = [x, y^2, x*y];\nelem a = x;\nelem b = y;\n"
+        "cmd invariance I E oracle=off seed=1;\n"
+        "cmd invariance I E oracle=on;\n"
+        "cmd rees_mult I mode=fastpath seed=2 window=(1,9);\n"
+        "cmd samuel_domain I I domain=asserted mode=fastpath window=(1,9);\n"
+        "cmd fc_seq I I seed=0 retries=4;\n"
+        "cmd mixed I mode=oracle n0=(2,5) n=(2,5) seed=0;\n"
+        "cmd samuel a b mode=oracle window=(1,9);\n"
+        "cmd transfer I kind=samuel window=(1,9);\n"
+    )
+    rc = main(["run", _write(tmp_path, "options.gm", text)])
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["status"] for r in doc["reports"]] == ["ok"] * 8
+    assert rc == 0
+    assert "rees_oracle_lhs" not in doc["reports"][0]["values"]
+    assert doc["reports"][1]["values"]["rees_oracle_lhs"] == doc["reports"][1]["values"]["rees_fastpath_lhs"]

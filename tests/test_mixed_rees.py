@@ -19,8 +19,10 @@ from gradmult import (
     rees_multiplicity,
     rees_presentation,
 )
-from gradmult import groebner
+from gradmult import degseq, groebner
 from gradmult.mixed_rees import rees_multiplicity_fastpath, rees_multiplicity_oracle
+from gradmult.reports import run_script
+from gradmult.script import parse_script
 
 
 def test_rees_presentation_of_irrelevant(kxy):
@@ -256,3 +258,57 @@ def test_invariance_rejects_unrelated_pair(kxy):
     x, y = kxy.gens()
     with pytest.raises(HypothesisFail):
         invariance_check(AlgIdeal(kxy, [x]), AlgIdeal(kxy, [y]))
+
+
+def heavy_mixed_ideal():
+    """The ideal of bench/scripts/heavy_mixed.gm, in a fresh algebra."""
+    S = make_algebra(poly_ring(("x", "y", "z"), PrimeField(32003)))
+    x, y, z = S.gens()
+    return AlgIdeal(S, [x * x, y * y, z * z, x * y, y * z])
+
+
+def test_fast_paths_read_the_search_degrees(monkeypatch):
+    # the degree sequence of the minimal reduction comes off the search that
+    # certified it: no adjusted basis of J, so no initial ideal is formed
+    def refuse(*args):
+        raise AssertionError("initial_ideal formed on a fast path")
+
+    monkeypatch.setattr(degseq, "initial_ideal", refuse)
+    I = heavy_mixed_ideal()
+    assert rees_multiplicity_fastpath(I).witness["degree_sequence"] == [2, 2, 2]
+    assert rees_multiplicity_fastpath(I).value == 1 + 2 + 4
+    assert [mixed_fastpath(I, i=i).value for i in range(3)] == [1, 2, 4]
+    doc, rc = run_script(parse_script(
+        "ring S vars [x,y,z] field fp(32003) relations [];\n"
+        "ideal I = [x^2, y^2, z^2, x*y, y*z];\nideal E = [x^2, y^2, z^2, x*y, y*z, x*z];\n"
+        "cmd rees_mult I mode=fastpath;\ncmd mixed I mode=both;\ncmd min_reduction I;\n"
+        "cmd invariance I E oracle=off;\n"
+    ))
+    assert rc == 0
+    values = [r["values"] for r in doc["reports"]]
+    assert values[0]["fastpath"] == 7
+    assert values[1]["fastpath"] == {"0": 1, "1": 2, "2": 4}
+    assert values[2]["degree_sequence"] == [2, 2, 2]
+    assert values[3]["degree_sequence_lhs"] == values[3]["degree_sequence_rhs"] == [2, 2, 2]
+
+
+def test_mixed_builds_one_rees_algebra(monkeypatch):
+    # the Bhattacharya table and the fiber cone of the minimal reduction
+    # search present S[I t] over one generating set: one basis between them
+    real = groebner._reduced_basis
+    rees_builds = []
+
+    def counted(polys):
+        if "t" in polys[0].ring.names:
+            rees_builds.append(polys[0].ring.names)
+        return real(polys)
+
+    groebner._memo.clear()
+    monkeypatch.setattr(groebner, "_reduced_basis", counted)
+    doc, rc = run_script(parse_script(
+        "ring S vars [x,y,z] field fp(32003) relations [];\n"
+        "ideal I = [x^2, y^2, z^2, x*y, y*z];\ncmd mixed I mode=both;\n"
+    ))
+    assert rc == 0
+    assert doc["reports"][0]["agree"] is True
+    assert rees_builds == [("x", "y", "z", "T1", "T2", "T3", "T4", "T5", "t")]

@@ -1,5 +1,6 @@
 """The multigraded Hilbert numerator and its block slices against standard
-monomials counted box by box (`tests/reference_multigraded.py`).
+monomials counted box by box (`tests/reference_multigraded.py`), and the
+cached slices against the uncached ones they replaced.
 
 The presentations are the multi-Rees algebras the weak-FC check builds:
 over the cusp y^2 z - x^3, over k[x,y,z]/(xy) with a zero-divisor in the
@@ -17,6 +18,7 @@ from reference_multigraded import (
     expanded_numerator,
     series_coefficients,
     sliced_series,
+    uncached_slice,
 )
 from reference_hilbert import reference_numerator
 
@@ -77,6 +79,37 @@ def test_slices_count_every_degree(field):
                 num = series.slice(b, c)
                 expected = sliced_series(series.leads, series.n, series.blocks, b, c, top)
                 assert series_coefficients(num, series.n, top) == expected, (name, b, c)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_cached_slices_match_the_uncached_reference(field):
+    # asked in a seeded order, so a bound c is met before, after or with no
+    # smaller bound of its block degree cached
+    rng = random.Random(470 + FIELDS.index(field))
+    for name, series in presentations(field, rng):
+        asks = [(b, c) for b in block_degrees(series, 3) for c in range(5)]
+        rng.shuffle(asks)
+        for b, c in asks + asks[:7]:
+            assert series.slice(b, c) == uncached_slice(series, b, c), (name, b, c)
+
+
+def test_each_slice_is_built_once(monkeypatch):
+    # one x-degree row per step c - 1 -> c, each (b, c) built once however
+    # often and in whatever order it is asked for
+    rows = []
+    real = BlockSeries._x_degree
+
+    def counted(self, grid, a):
+        rows.append(a)
+        return real(self, grid, a)
+
+    monkeypatch.setattr(BlockSeries, "_x_degree", counted)
+    _name, series = next(presentations(QQ, random.Random(0)))
+    asks = [(b, c) for b in block_degrees(series, 2) for c in (3, 1, 4, 0, 2, 4)]
+    for b, c in asks:
+        series.slice(b, c)
+    assert len(rows) == 4 * len(set(b for b, _ in asks))
+    assert set(series._slices) == {(b, c) for b, _ in asks for c in range(5)}
 
 
 def test_some_blocks_mix_degrees():

@@ -13,13 +13,27 @@ certificate, or raise the same SearchExhausted payload: over small and large
 prime fields and qq, for seeds 0 to 3, on ideals whose first multiset is
 skipped, on ideals where none is, and on non-homogeneous ideals.  The counts
 pin the saving: one candidate per search, its forms read once, where the
-whole first multiset was drawn before.
+whole first multiset was drawn before.  On seeded homogeneous ideals the
+degrees of the certified J's generators, which the fast paths read
+(`reductions.reduction_degrees`), must be its degree sequence.
 """
+
+import random
 
 import pytest
 
 import reference_reductions
-from gradmult import QQ, AlgIdeal, PrimeField, find_minimal_reduction, make_algebra, poly_ring, reductions
+from conftest import four_algebras, random_poly
+from gradmult import (
+    QQ,
+    AlgIdeal,
+    PrimeField,
+    degree_sequence,
+    find_minimal_reduction,
+    make_algebra,
+    poly_ring,
+    reductions,
+)
 from gradmult.errors import SearchExhausted
 
 FIELDS = [PrimeField(2), PrimeField(3), PrimeField(32003), PrimeField(2147483647), QQ]
@@ -125,3 +139,27 @@ def test_non_homogeneous_candidates_read_their_forms_once(name, monkeypatch):
     J, cert = find_minimal_reduction(I)
     assert cert.ok
     assert calls == {"_fiber_forms": 1, "_fiber_certificate": 0, "is_reduction": 1}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_the_search_degrees_are_the_degree_sequence(field):
+    # on homogeneous I the certified J has spread generators, independent in
+    # I/mI, so their sorted degrees are the degree sequence of J
+    rng = random.Random(620 + FIELDS.index(field))
+    checked = 0
+    for algebra in four_algebras(field):
+        for _ in range(8):
+            I = AlgIdeal(algebra, [
+                random_poly(algebra.ring, rng, degree=rng.randint(1, 3))
+                for _ in range(rng.randint(1, 4))
+            ])
+            if I.is_zero() or not I.is_proper():
+                continue
+            try:
+                J, _cert = find_minimal_reduction(I, seed=rng.randrange(4))
+            except SearchExhausted:
+                continue
+            assert len(J.gens) == reductions.analytic_spread(I)
+            assert reductions.reduction_degrees(I, J) == degree_sequence(J), (algebra, I)
+            checked += 1
+    assert checked >= 24
