@@ -173,10 +173,11 @@ def order_and_initial(x):
 
 class AlgIdeal:
     """Ideal of a graded algebra, with its polynomial-ring lift cached (and its
-    powers, kept by groebner.memo_power, and its fiber cone, built by
-    reductions._fiber_cone off rees.rees_presentation)."""
+    powers, kept by groebner.memo_power, its product mI with the irrelevant
+    ideal, and its fiber cone, built by reductions._fiber_cone off
+    rees.rees_presentation)."""
 
-    __slots__ = ("algebra", "gens", "_lift", "_powers", "_fiber")
+    __slots__ = ("algebra", "gens", "_lift", "_powers", "_mi", "_fiber")
 
     def __init__(self, algebra, items):
         self.algebra = algebra
@@ -193,6 +194,7 @@ class AlgIdeal:
         self.gens = tuple(clean)
         self._lift = None
         self._powers = None
+        self._mi = None
         self._fiber = None
 
     @property
@@ -251,6 +253,20 @@ class AlgIdeal:
         return AlgIdeal(self.algebra, prods)
 
     __mul__ = times
+
+    def times_irrelevant(self):
+        """mI, formed once per ideal and kept in _mi: the order counts, the
+        minimal basis, the fiber cone and the FC checks all read it.
+
+        GB(P + I) is built first, as each of those callers has already done,
+        so times reads the same short generating set of I (_short_gens)
+        whichever caller forms the product first, and the kept product has
+        the generators each of them would have formed.
+        """
+        if self._mi is None:
+            self.lift.groebner()
+            self._mi = self.times(self.algebra.irrelevant_ideal())
+        return self._mi
 
     def _short_gens(self):
         gb = self._lift._gb if self._lift is not None else None
@@ -312,7 +328,7 @@ def minimal_basis(ideal):
     if not ideal.is_proper():
         raise ValueError("minimal basis of the unit ideal")
     gb = ideal.lift.groebner()
-    mi_leads = ideal.times(algebra.irrelevant_ideal()).lift.leading_monomials()
+    mi_leads = ideal.times_irrelevant().lift.leading_monomials()
     leads = [g.leading_monomial() for g in gb]
     if not all(any(mono_divides(l, m) for l in leads) for m in mi_leads):
         raise ArithmeticError("leading ideal of mI escaped that of I")

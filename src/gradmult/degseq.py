@@ -64,10 +64,8 @@ def _order_counts(ideal):
     """
     if ideal.is_zero() or not ideal.is_proper():
         raise ValueError("order counts of the zero or unit ideal")
-    # the cone of I comes first: it builds the reduced basis of I, which then
-    # stands in for the longer generating set in the product with m
     cone = ideal.lift.tangent_cone()
-    shrunk = ideal.times(ideal.algebra.irrelevant_ideal()).lift.tangent_cone()
+    shrunk = ideal.times_irrelevant().lift.tangent_cone()
     return series_difference(shrunk, cone)
 
 

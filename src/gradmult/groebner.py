@@ -3,6 +3,10 @@
 Orders are global, so every ideal here has a unique reduced Groebner basis;
 PolyIdeal caches it and all higher operations (sum, product, power, colon,
 saturation, intersection, elimination, dimension) go through it.
+
+The Buchberger loop runs on packed views (Polynomial.packed) end to end:
+S-pairs, heap normal forms and the pair update read packed monomials and
+int order keys; exponent tuples remain in the memo key and the output.
 """
 
 import itertools
@@ -11,28 +15,60 @@ import threading
 from heapq import heapify, heappop, heappush
 
 from .hilbert import leading_series
-from .monomials import (
-    MonomialOrder,
-    minimal_monomials,
-    mono_coprime,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-)
+from .monomials import MonomialOrder, minimal_monomials
 from .polynomials import Polynomial, map_vars
 
 INFINITE = math.inf
 
 
+def _shifted(tail, dk, dp, lc, field, mask):
+    """The packed tail times the monomial (dk, dp), divided by lc.  A
+    shifted exponent at the packing guard bit raises ArithmeticError."""
+    out = [(k + dk, p + dp, c) for k, p, c in tail]
+    if any(p & mask for _, p, _ in out):
+        raise ArithmeticError("an S-pair exponent reaches the packing guard bit")
+    if lc != field.one:
+        inv, fmul = field.inv(lc), field.mul
+        out = [(k, p, fmul(c, inv)) for k, p, c in out]
+    return out
+
+
 def s_polynomial(f, g):
+    """lcm/lead(f) f/lc(f) - lcm/lead(g) g/lc(g), built on the packed views
+    (Polynomial.packed) and returned with its own view set.
+
+    The lcm of two packable leads is packable: each of its fields is the
+    larger of two fields below EXP_LIMIT.  So are the two shifts lcm/lead,
+    whose fields are at most the lcm's.  rev_key and the packing are linear,
+    so each tail is shifted by int adds and stays in decreasing order; the
+    leads cancel, and one merge by rev key combines the tails.  A tail term
+    may still exceed the lcm in some variable, so its shifted exponent can
+    reach the guard bit: that raises ArithmeticError.
+    """
     if f.ring != g.ring:
         raise ValueError("mixed-ring S-polynomial")
-    lf, lg = f.leading_monomial(), g.leading_monomial()
-    l = mono_lcm(lf, lg)
-    field = f.ring.field
-    a = f.mul_term(mono_div(l, lf), field.inv(f.coeffs[lf]))
-    b = g.mul_term(mono_div(l, lg), field.inv(g.coeffs[lg]))
-    return a - b
+    ring = f.ring
+    field, order = ring.field, ring.order
+    pk = order.packing
+    fk, fp, fc, ftail = f.packed()
+    gk, gp, gc, gtail = g.packed()
+    lp = pk.lcm(fp, gp)
+    lk = order.rev_key(pk.unpack(lp))
+    a = _shifted(ftail, lk - fk, lp - fp, fc, field, pk.mask)
+    b = _shifted(gtail, lk - gk, lp - gp, gc, field, pk.mask)
+    fsub, fneg = field.sub, field.neg
+    work = {k: (p, c) for k, p, c in a}
+    for k, p, c in b:
+        hit = work.get(k)
+        if hit is None:
+            work[k] = (p, fneg(c))
+            continue
+        v = fsub(hit[1], c)
+        if v:
+            work[k] = (p, v)
+        else:
+            del work[k]
+    return Polynomial.from_packed(ring, [(k,) + work[k] for k in sorted(work)])
 
 
 def _reduce(f, reducers, field, quotient=None):
@@ -42,10 +78,10 @@ def _reduce(f, reducers, field, quotient=None):
     and their keys on a heap, so the largest term is popped in O(log n) and
     each term is keyed once, when it first appears.  A popped term is
     reduced by the first reducer whose lead divides it, or kept.  Returns
-    the kept terms as (packed, coefficient) in decreasing order; each
-    reduction step's (packed multiplier, factor) is appended to quotient
-    when it is given.  None means that no term was reduced, so f is its own
-    remainder.  A product that reaches the packing guard bit raises
+    the kept terms as (rev key, packed, coefficient) in decreasing order;
+    each reduction step's multiplier is appended to quotient, in the same
+    form, when it is given.  None means that no term was reduced, so f is
+    its own remainder.  A product that reaches the packing guard bit raises
     ArithmeticError.
     """
     mask = f.ring.order.packing.mask
@@ -70,13 +106,13 @@ def _reduce(f, reducers, field, quotient=None):
             if not (p - gp) & mask:
                 break
         else:
-            out.append((p, c))
+            out.append((k, p, c))
             continue
         reduced = True
         factor = fdiv(c, gc)
         uk, up = k - gk, p - gp
         if quotient is not None:
-            quotient.append((up, factor))
+            quotient.append((uk, up, factor))
         for tk, tp, tc in gtail:
             k2 = tk + uk
             v = work.get(k2)
@@ -91,23 +127,15 @@ def _reduce(f, reducers, field, quotient=None):
     return out if reduced else None
 
 
-def _from_packed(ring, terms):
-    """The polynomial of (packed, coefficient) terms in decreasing order."""
-    unpack = ring.order.packing.unpack
-    poly = Polynomial(ring, {unpack(p): c for p, c in terms})
-    if terms:
-        poly._lead = unpack(terms[0][0])
-    return poly
-
-
 def normal_form(f, basis):
     """Fully reduce f by the basis: no remaining term is divisible by any lead.
 
     Reducer choice is the first basis element (in given order) whose lead
     divides the current term, so the result is deterministic for a fixed basis.
     The reduction runs on packed monomials with a heap of live terms
-    (_reduce); the basis elements' packed views stay cached on them.  An
-    exponent at the packing guard bit raises ArithmeticError.
+    (_reduce); the basis elements' packed views stay cached on them, and a
+    remainder comes back with its own view set.  An exponent at the packing
+    guard bit raises ArithmeticError.
     """
     if not f.coeffs:
         return f
@@ -115,7 +143,7 @@ def normal_form(f, basis):
     if not reducers:
         return f
     out = _reduce(f, reducers, f.ring.field)
-    return f if out is None else _from_packed(f.ring, out)
+    return f if out is None else Polynomial.from_packed(f.ring, out)
 
 
 # Reduced bases by exact input.  Orders are global, so the reduced basis of
@@ -172,8 +200,13 @@ def buchberger(gens):
 def _reduced_basis(polys):
     """Reduced Groebner basis of distinct nonzero monic polynomials of one ring.
 
-    The uncached core of buchberger.  Pairs are pruned once, when they are
-    formed, by the Gebauer–Möller update (1988) run as each h joins G:
+    The uncached core of buchberger.  Every element is held as its packed
+    view (Polynomial.packed) from input to output: S-polynomials are formed
+    on the views (s_polynomial), remainders come back with theirs
+    (normal_form) and keep them when made monic, and the pair bookkeeping
+    reads packed leads through the Packing helpers.  Pairs are pruned once,
+    when they are formed, by the Gebauer–Möller update (1988) run as each h
+    joins G:
 
     - M: a new pair (g, h) stays only if lcm(g, h) is a minimal generator of
       the new lcms;
@@ -185,7 +218,8 @@ def _reduced_basis(polys):
     Elements whose lead lead(h) divides form no new pairs, and a group holding
     a pair of two monomials goes, its S-polynomial being zero.  Pair selection
     is by minimal lcm degree with FIFO tie-break, and S-polynomials reduce by
-    every element of G, active or not.
+    every element of G, active or not.  tests/reference_groebner.py keeps the
+    same loop on exponent tuples.
     """
     ring = polys[0].ring
     okey = ring.order.key
@@ -196,41 +230,45 @@ def _reduced_basis(polys):
             ring.monomial(m) for m in sorted(minimal, key=okey)
         )
 
+    pk = ring.order.packing
+    divides, lcm, coprime = pk.divides, pk.lcm, pk.coprime
     G = []
-    leads = []
+    leads = []  # packed
+    terms = []  # True for a monomial
     active = []  # indices into G whose lead no later lead divides
-    pairq = []  # (lcm degree, FIFO counter, lcm, i, j)
+    pairq = []  # (lcm degree, FIFO counter, packed lcm, i, j)
     counter = itertools.count()
 
     def update(h):
         t = len(G)
-        lt = h.leading_monomial()
-        term = h.is_term()
+        _, lt, _, tail = h.packed()
+        term = not tail
         G.append(h)
         leads.append(lt)
+        terms.append(term)
         if pairq:
             kept = [
                 p for p in pairq
-                if not mono_divides(lt, p[2])
-                or mono_lcm(leads[p[3]], lt) == p[2]
-                or mono_lcm(leads[p[4]], lt) == p[2]
+                if not divides(lt, p[2])
+                or lcm(leads[p[3]], lt) == p[2]
+                or lcm(leads[p[4]], lt) == p[2]
             ]
             if len(kept) < len(pairq):
                 pairq[:] = kept
                 heapify(pairq)
         groups = {}
         for i in active:
-            groups.setdefault(mono_lcm(leads[i], lt), []).append(i)
-        minimal = set(minimal_monomials(groups))
+            groups.setdefault(lcm(leads[i], lt), []).append(i)
+        minimal = set(pk.minimal(groups))
         for l, members in groups.items():
             if l not in minimal:
                 continue
-            if any(mono_coprime(leads[i], lt) for i in members):
+            if any(coprime(leads[i], lt) for i in members):
                 continue
-            if term and any(G[i].is_term() for i in members):
+            if term and any(terms[i] for i in members):
                 continue
-            heappush(pairq, (sum(l), next(counter), l, members[0], t))
-        active[:] = [i for i in active if not mono_divides(lt, leads[i])]
+            heappush(pairq, (pk.degree(l), next(counter), l, members[0], t))
+        active[:] = [i for i in active if not divides(lt, leads[i])]
         active.append(t)
 
     for p in polys:
@@ -242,11 +280,12 @@ def _reduced_basis(polys):
         if r.coeffs:
             update(r.monic())
 
-    # minimal basis: drop anything whose lead another kept lead divides
+    # minimal basis: drop anything whose lead another kept lead divides;
+    # ascending in the order is descending in rev key
     kept = []
-    for g in sorted(G, key=lambda p: okey(p.leading_monomial())):
-        lg = g.leading_monomial()
-        if any(mono_divides(h.leading_monomial(), lg) for h in kept):
+    for g in sorted(G, key=lambda p: -p.packed()[0]):
+        lg = g.packed()[1]
+        if any(divides(h.packed()[1], lg) for h in kept):
             continue
         kept.append(g)
 
@@ -255,7 +294,7 @@ def _reduced_basis(polys):
     # never change, and a normal form keeps no term any other lead divides
     for idx in range(len(kept)):
         kept[idx] = normal_form(kept[idx], kept[:idx] + kept[idx + 1:])
-    kept.sort(key=lambda p: okey(p.leading_monomial()))
+    kept.sort(key=lambda p: -p.packed()[0])
     return tuple(kept)
 
 
@@ -268,7 +307,7 @@ def exact_quotient(f, b):
     remainder = _reduce(f, [b.packed()], ring.field, quotient)
     if remainder is None or remainder:
         raise ValueError("not an exact multiple")
-    return _from_packed(ring, quotient)
+    return Polynomial.from_packed(ring, quotient)
 
 
 def eliminate_into(gens, drop, ring):

@@ -4,7 +4,8 @@ Each order is one table of integer rows (_order_rows), folded into one int
 per monomial: MonomialOrder.key, and its negation rev_key.  Normal forms
 reduce on packed monomials: an exponent vector packed into one int
 (Packing) and its rev_key, both linear in the exponents, so a product of
-monomials is one int add.
+monomials is one int add, and divisibility, lcm and coprimality are a few
+int operations on the packed ints.
 """
 
 import functools
@@ -20,11 +21,6 @@ def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_div(a, b):
-    """a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def mono_divides(a, b):
     """True when a | b."""
     return all(x <= y for x, y in zip(a, b))
@@ -32,10 +28,6 @@ def mono_divides(a, b):
 
 def mono_lcm(a, b):
     return tuple(x if x > y else y for x, y in zip(a, b))
-
-
-def mono_coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 def mono_degree(a):
@@ -77,13 +69,15 @@ class Packing:
     With every exponent below EXP_LIMIT, a product is the sum of the packed
     ints, and a divides b exactly when (b - a) & mask is 0: a field of b
     below that of a borrows, which sets its guard bit.  A product whose sum
-    has a guard bit set has left the packable range.
+    has a guard bit set has left the packable range.  The helpers below take
+    packable ints, every field below EXP_LIMIT.
     """
 
-    __slots__ = ("mask", "_struct", "_width")
+    __slots__ = ("mask", "_low", "_struct", "_width")
 
     def __init__(self, n):
         self.mask = sum(EXP_LIMIT << (FIELD_BITS * i) for i in range(n))
+        self._low = self.mask >> (FIELD_BITS - 1)  # a 1 in every field
         self._struct = struct.Struct(f"<{n}I")
         self._width = FIELD_BITS // 8 * n
 
@@ -94,6 +88,35 @@ class Packing:
 
     def unpack(self, p):
         return self._struct.unpack(p.to_bytes(self._width, "little"))
+
+    def divides(self, a, b):
+        return not (b - a) & self.mask
+
+    def lcm(self, a, b):
+        """The field-wise max.  (a | mask) - b borrows in no field, and keeps
+        a field's guard bit exactly when a's field is at least b's; each kept
+        guard bit, less its shift to the field's bit 0, selects a's field."""
+        keep = ((a | self.mask) - b) & self.mask
+        return b ^ ((a ^ b) & (keep - (keep >> (FIELD_BITS - 1))))
+
+    def coprime(self, a, b):
+        """No variable in both: the guard bits of the nonzero fields,
+        ((x | mask) - 1 in every field) & mask, are disjoint."""
+        mask, low = self.mask, self._low
+        return not ((a | mask) - low) & ((b | mask) - low) & mask
+
+    def degree(self, p):
+        return sum(self.unpack(p))
+
+    def minimal(self, monos):
+        """The minimal elements of monos under divisibility, ascending as
+        ints: a divisor is the smaller int, b - a carrying no borrow."""
+        mask = self.mask
+        out = []
+        for m in sorted(set(monos)):
+            if all((m - k) & mask for k in out):
+                out.append(m)
+        return out
 
 
 @functools.lru_cache(maxsize=None)

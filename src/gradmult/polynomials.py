@@ -2,9 +2,10 @@
 
 A Polynomial owns a dict mapping exponent tuples to nonzero field scalars.
 Term order only matters at the surface (leading data, display), so arithmetic
-is plain dict merging; ordered views are produced on demand.  Normal forms
-read a polynomial through its packed view (Polynomial.packed), cached on
-first use.
+is plain dict merging; ordered views are produced on demand.  The Groebner
+kernel reads a polynomial through its packed view (Polynomial.packed),
+cached on first use, set directly on the S-polynomials and remainders it
+builds, and kept by scale and monic.
 """
 
 from .monomials import MonomialOrder, mono_degree, mono_mul
@@ -140,14 +141,32 @@ class Polynomial:
         """(lead rev key, lead packed, lead coefficient, tail) of a nonzero
         polynomial, tail a tuple of (rev key, packed, coefficient) of the
         other terms: monomials as the ring order's rev_key and as its
-        packing's ints.  Built once and cached; raises ArithmeticError when
-        an exponent reaches the packing guard bit."""
+        packing's ints.  Built once and cached, with the leading monomial;
+        raises ArithmeticError when an exponent reaches the packing guard
+        bit."""
         if self._packed is None:
             order = self.ring.order
             rev_key, pack = order.rev_key, order.packing.pack
-            terms = sorted([(rev_key(e), pack(e), c) for e, c in self.coeffs.items()])
+            coeffs = self.coeffs
+            keyed = sorted([(rev_key(e), e) for e in coeffs])
+            terms = [(k, pack(e), coeffs[e]) for k, e in keyed]
+            self._lead = keyed[0][1]
             self._packed = terms[0] + (tuple(terms[1:]),)
         return self._packed
+
+    @staticmethod
+    def from_packed(ring, terms):
+        """The polynomial of nonzero (rev key, packed, coefficient) terms in
+        strictly decreasing order (increasing rev key), with that packed view
+        set; each exponent tuple is unpacked once."""
+        if not terms:
+            return Polynomial(ring, {})
+        unpack = ring.order.packing.unpack
+        exps = [unpack(p) for _, p, _ in terms]
+        poly = Polynomial(ring, {e: c for e, (_, _, c) in zip(exps, terms)})
+        poly._lead = exps[0]
+        poly._packed = terms[0] + (tuple(terms[1:]),)
+        return poly
 
     def leading_coeff(self):
         return self.coeffs[self.leading_monomial()]
@@ -207,10 +226,17 @@ class Polynomial:
         return self._coerce(other).__sub__(self)
 
     def scale(self, c):
+        """c times self; a packed view already built is scaled with it, one
+        product per term, and the exponents are read back off it."""
         c = self.ring.field.of(c)
         if c == 0:
             return self.ring.zero()
         fmul = self.ring.field.mul
+        if self._packed is not None:
+            lk, lp, lc, tail = self._packed
+            return Polynomial.from_packed(
+                self.ring, [(lk, lp, fmul(lc, c))] + [(k, p, fmul(v, c)) for k, p, v in tail]
+            )
         out = Polynomial(self.ring, {e: fmul(v, c) for e, v in self.coeffs.items()})
         out._lead = self._lead
         return out

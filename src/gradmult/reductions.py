@@ -155,7 +155,7 @@ def _fiber_cone(I):
             Polynomial(ring, {e[n:]: c for e, c in g.coeffs.items() if not any(e[:n])})
             for g in pres.rees_ideal.gens
         ))
-        mi = I.times(I.algebra.irrelevant_ideal()).lift
+        mi = I.times_irrelevant().lift
         images = [mi.normal_form(g.rep).coeffs for g in pres.generators]
         I._fiber = _FiberCone(pres.generators, phi, mi, images)
     return I._fiber
@@ -530,8 +530,7 @@ def fc_check_element(x, ideals, slot, window=None):
         raise ValueError("slot out of range")
     if not ideals[slot].contains(x):
         raise ValueError("element does not lie in its slot ideal")
-    mi = ideals[slot].times(algebra.irrelevant_ideal())
-    if mi.lift.contains(x.rep):
+    if ideals[slot].times_irrelevant().lift.contains(x.rep):
         raise ValueError("element lies in m * (slot ideal)")
     base = PolyIdeal(algebra.ring, algebra.defining.groebner())
     gen_lists = [[g.rep for g in ideal.gens] for ideal in ideals]
@@ -570,7 +569,7 @@ def build_fc_sequence(J, I, seed=0, retries=DEFAULT_RETRIES, window=None):
         [g.rep for g in I.gens],
         [g.rep for g in m.gens],
     ]
-    mj_lift_gens = J.times(m).lift.gens
+    mj_lift_gens = J.times_irrelevant().lift.gens
     field_ = algebra.ring.field
     rng = random.Random(seed)
     best_level = -1

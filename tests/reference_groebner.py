@@ -2,6 +2,11 @@
 
 - The chain-criterion Buchberger core that `groebner._reduced_basis`
   replaced, the oracle for the Gebauer–Möller pair update.
+- The Gebauer–Möller core on exponent tuples, with the S-polynomial formed
+  by two `mul_term`s and a dict subtraction, that the core on packed views
+  replaced: the oracle for its pair order and its S-pair count.  The tuple
+  quotient and coprimality test it needs (mono_div, mono_coprime) live here,
+  as nothing in the package uses them now.
 - The normal form on exponent tuples that the heap reduction on packed
   monomials (`groebner.normal_form`) replaced; the reference core reduces
   with it, so it does not depend on the new one.
@@ -11,18 +16,31 @@
 """
 
 import itertools
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from gradmult import Polynomial
-from gradmult.groebner import s_polynomial
-from gradmult.monomials import (
-    minimal_monomials,
-    mono_coprime,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-)
+from gradmult.monomials import minimal_monomials, mono_divides, mono_lcm, mono_mul
+
+
+def mono_div(a, b):
+    """a / b; caller guarantees divisibility."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_coprime(a, b):
+    return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+
+def reference_s_polynomial(f, g):
+    """The S-polynomial on exponent tuples."""
+    if f.ring != g.ring:
+        raise ValueError("mixed-ring S-polynomial")
+    lf, lg = f.leading_monomial(), g.leading_monomial()
+    l = mono_lcm(lf, lg)
+    field = f.ring.field
+    a = f.mul_term(mono_div(l, lf), field.inv(f.coeffs[lf]))
+    b = g.mul_term(mono_div(l, lg), field.inv(g.coeffs[lg]))
+    return a - b
 
 
 def reference_normal_form(f, basis):
@@ -131,7 +149,7 @@ def reference_reduced_basis(polys):
         done.add(key)
         if chained:
             continue
-        r = reference_normal_form(s_polynomial(G[i], G[j]), G)
+        r = reference_normal_form(reference_s_polynomial(G[i], G[j]), G)
         if r.coeffs:
             G.append(r.monic())
             leads.append(r.leading_monomial())
@@ -155,6 +173,99 @@ def reference_reduced_basis(polys):
             if r.coeffs != kept[idx].coeffs:
                 kept[idx] = r.monic()
                 changed = True
+    kept.sort(key=lambda p: okey(p.leading_monomial()))
+    return tuple(kept)
+
+
+def reference_gm_basis(polys):
+    """Reduced Groebner basis of distinct nonzero monic polynomials of one ring.
+
+    The Gebauer–Möller core as it ran on exponent tuples, but for its normal
+    form: it reduces with reference_normal_form, which takes the same
+    reducer at every step as the heap normal form, so the remainders, the
+    pairs and their order are the same.  Pairs are pruned once, when they
+    are formed, by the update run as each h joins G:
+
+    - M: a new pair (g, h) stays only if lcm(g, h) is a minimal generator of
+      the new lcms;
+    - F: one pair stays per distinct lcm;
+    - product criterion: an lcm group with a pair of coprime leads goes;
+    - B: a queued pair (i, j) goes when lead(h) divides its lcm and both
+      lcm(i, h) and lcm(j, h) differ from it.
+
+    Elements whose lead lead(h) divides form no new pairs, and a group holding
+    a pair of two monomials goes, its S-polynomial being zero.  Pair selection
+    is by minimal lcm degree with FIFO tie-break, and S-polynomials reduce by
+    every element of G, active or not.
+    """
+    ring = polys[0].ring
+    okey = ring.order.key
+
+    if all(p.is_term() for p in polys):
+        minimal = minimal_monomials([p.leading_monomial() for p in polys])
+        return tuple(
+            ring.monomial(m) for m in sorted(minimal, key=okey)
+        )
+
+    G = []
+    leads = []
+    active = []  # indices into G whose lead no later lead divides
+    pairq = []  # (lcm degree, FIFO counter, lcm, i, j)
+    counter = itertools.count()
+
+    def update(h):
+        t = len(G)
+        lt = h.leading_monomial()
+        term = h.is_term()
+        G.append(h)
+        leads.append(lt)
+        if pairq:
+            kept = [
+                p for p in pairq
+                if not mono_divides(lt, p[2])
+                or mono_lcm(leads[p[3]], lt) == p[2]
+                or mono_lcm(leads[p[4]], lt) == p[2]
+            ]
+            if len(kept) < len(pairq):
+                pairq[:] = kept
+                heapify(pairq)
+        groups = {}
+        for i in active:
+            groups.setdefault(mono_lcm(leads[i], lt), []).append(i)
+        minimal = set(minimal_monomials(groups))
+        for l, members in groups.items():
+            if l not in minimal:
+                continue
+            if any(mono_coprime(leads[i], lt) for i in members):
+                continue
+            if term and any(G[i].is_term() for i in members):
+                continue
+            heappush(pairq, (sum(l), next(counter), l, members[0], t))
+        active[:] = [i for i in active if not mono_divides(lt, leads[i])]
+        active.append(t)
+
+    for p in polys:
+        update(p)
+
+    while pairq:
+        _, _, _, i, j = heappop(pairq)
+        r = reference_normal_form(reference_s_polynomial(G[i], G[j]), G)
+        if r.coeffs:
+            update(r.monic())
+
+    # minimal basis: drop anything whose lead another kept lead divides
+    kept = []
+    for g in sorted(G, key=lambda p: okey(p.leading_monomial())):
+        lg = g.leading_monomial()
+        if any(mono_divides(h.leading_monomial(), lg) for h in kept):
+            continue
+        kept.append(g)
+
+    # tail interreduction to the unique reduced basis, in one pass: no lead
+    # divides another, so each lead survives its normal form and the leads
+    # never change, and a normal form keeps no term any other lead divides
+    for idx in range(len(kept)):
+        kept[idx] = reference_normal_form(kept[idx], kept[:idx] + kept[idx + 1:])
     kept.sort(key=lambda p: okey(p.leading_monomial()))
     return tuple(kept)
 
@@ -197,6 +308,6 @@ def is_groebner_basis(basis, gens):
     if not all(_reduces_to_zero(g, basis) for g in gens if g.coeffs):
         return False
     return all(
-        _reduces_to_zero(s_polynomial(f, g), basis)
+        _reduces_to_zero(reference_s_polynomial(f, g), basis)
         for f, g in itertools.combinations(basis, 2)
     )

@@ -11,7 +11,9 @@ import random
 
 import pytest
 
-from gradmult import QQ, AlgIdeal, PrimeField, initial_ideal, make_algebra, poly_ring
+from gradmult import (
+    QQ, AlgIdeal, PrimeField, degree_sequence, initial_ideal, make_algebra, poly_ring,
+)
 from gradmult import degseq
 from conftest import random_poly
 from reference_colength import adic_colength
@@ -72,3 +74,31 @@ def test_counterexample_counts(field):
     I = AlgIdeal(S, [X + Y * Y])
     assert degseq._order_counts(I) == [0, 1]
     assert assert_counts_match(I)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_one_product_with_m_per_degree_sequence(field, monkeypatch):
+    # the order counts and the minimal basis read one kept mI
+    products = []
+    times = AlgIdeal.times
+
+    def counted(self, other):
+        if other is self.algebra.irrelevant_ideal():
+            products.append(self)
+        return times(self, other)
+
+    monkeypatch.setattr(AlgIdeal, "times", counted)
+    ring = poly_ring(("x", "y", "z"), field)
+    x, y, z = ring.gens()
+    for relations, gens in (
+        ([], [x * x, y * y, x * z + y * z]),
+        ([], [x + y * y, z**3 - x * y]),
+        ([y * y * z - x**3], [y, x + z]),
+        ([x * y, x * x], [x + y * y]),
+    ):
+        ideal = AlgIdeal(make_algebra(ring, relations), gens)
+        products.clear()
+        degree_sequence(ideal)
+        assert len(products) == 1 and products[0] is ideal
+        assert ideal.times_irrelevant() is ideal.times_irrelevant()
+        assert len(products) == 1

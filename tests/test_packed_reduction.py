@@ -1,5 +1,6 @@
-"""The heap normal form on packed monomials and Rabinowitsch's saturation,
-checked against the routes they replaced (`tests/reference_groebner.py`).
+"""The heap normal form and the S-polynomial on packed monomials, the packed
+monomial helpers and Rabinowitsch's saturation, checked against the routes
+they replaced (`tests/reference_groebner.py`).
 
 Differential cases run over fp(2), fp(3), fp(32003), fp(2147483647) and qq,
 in degrevlex, block and weight orders, in k[x,y], k[x,y,z], the cusp
@@ -13,11 +14,34 @@ import random
 import pytest
 
 from conftest import random_poly
-from gradmult import AlgIdeal, PolyIdeal, buchberger, make_algebra, normal_form, poly_ring
-from gradmult.groebner import exact_quotient
-from gradmult.monomials import EXP_LIMIT, MonomialOrder, mono_divides, packing
+from gradmult import (
+    AlgIdeal,
+    PolyIdeal,
+    Polynomial,
+    buchberger,
+    groebner,
+    make_algebra,
+    normal_form,
+    poly_ring,
+)
+from gradmult.groebner import exact_quotient, s_polynomial
+from gradmult.monomials import (
+    EXP_LIMIT,
+    MonomialOrder,
+    minimal_monomials,
+    mono_divides,
+    mono_lcm,
+    packing,
+)
+from gradmult.reports import run_script
+from gradmult.script import parse_script
 from gradmult.scalars import QQ, PrimeField
-from reference_groebner import reference_normal_form, reference_saturate
+from reference_groebner import (
+    mono_coprime,
+    reference_normal_form,
+    reference_s_polynomial,
+    reference_saturate,
+)
 from reference_orders import reference_key
 
 FIELDS = [PrimeField(2), PrimeField(3), PrimeField(32003), PrimeField(2147483647), QQ]
@@ -72,6 +96,24 @@ def test_packing_divides_and_round_trips():
         pk.pack((0, EXP_LIMIT, 0))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_packed_helpers_match_the_tuple_ones(n):
+    rng = random.Random(n)
+    pk = packing(n)
+    picks = (0, 1, 2, 3, EXP_LIMIT - 2, EXP_LIMIT - 1)
+    for _ in range(400):
+        a = tuple(rng.choice(picks) for _ in range(n))
+        b = tuple(rng.choice(picks) if rng.randrange(3) else x for x in a)
+        pa, pb = pk.pack(a), pk.pack(b)
+        assert pk.unpack(pk.lcm(pa, pb)) == mono_lcm(a, b)
+        assert pk.coprime(pa, pb) == mono_coprime(a, b)
+        assert pk.divides(pa, pb) == mono_divides(a, b)
+        assert pk.divides(pa, pk.lcm(pa, pb)) and pk.divides(pb, pk.lcm(pa, pb))
+        assert pk.degree(pa) == sum(a)
+    monos = [tuple(rng.choice(picks[:4] + picks[-1:]) for _ in range(n)) for _ in range(30)]
+    assert sorted(pk.minimal(map(pk.pack, monos))) == sorted(map(pk.pack, minimal_monomials(monos)))
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 @pytest.mark.parametrize("name", list(RINGS))
 def test_normal_form_matches_the_reference(field, name):
@@ -87,6 +129,10 @@ def test_normal_form_matches_the_reference(field, name):
             rng.shuffle(gens)
             got = normal_form(f, gens)
             assert got == reference_normal_form(f, gens)
+            # S-pairs of non-monic inputs, and the packed view they carry
+            s = s_polynomial(f, gens[0])
+            assert s == reference_s_polynomial(f, gens[0])
+            assert not s.coeffs or s.packed() == Polynomial(ring, dict(s.coeffs)).packed()
             assert got._lead is None or got._lead == got.leading_monomial()
             gb = buchberger(gens)
             assert normal_form(f, gb) == reference_normal_form(f, gb)
@@ -177,3 +223,23 @@ def test_exponent_at_the_guard_bit_raises():
         # never a basis, and nothing memoised for the second call
         with pytest.raises(ArithmeticError):
             buchberger([big - y, y * y - x])
+    # packable generators whose S-pair shift, z, takes the tail z^(limit - 1)
+    # to the guard: the S-polynomial raises, before any normal form
+    f = ring.monomial((EXP_LIMIT - 2, 1, 0)) + ring.monomial((0, 0, EXP_LIMIT - 1))
+    g = x * z - y
+    with pytest.raises(ArithmeticError, match="S-pair"):
+        s_polynomial(f, g)
+    memo = dict(groebner._memo)
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match="S-pair"):
+            buchberger([f, g])
+        assert groebner._memo == memo
+    text = (
+        "ring S vars [x, y, z] field fp(32003) relations [];\n"
+        f"ideal I = [x^{EXP_LIMIT - 2}*y + z^{EXP_LIMIT - 1}, x*z - y];\ncmd degseq I;\n"
+    )
+    doc, rc = run_script(parse_script(text))
+    (rep,) = doc["reports"]
+    assert rc == 4 and doc["summary"]["exit_code"] == 4
+    assert rep["error"]["code"] == "INTERNAL-ERROR"
+    assert "S-pair" in rep["error"]["message"]
