@@ -166,11 +166,6 @@ class AlgElement:
         return repr(self.rep)
 
 
-def order_and_initial(x):
-    """(order, initial form) of an element."""
-    return (x.order, x.initial_form)
-
-
 class AlgIdeal:
     """Ideal of a graded algebra, with its polynomial-ring lift cached (and its
     powers, kept by groebner.memo_power, its product mI with the irrelevant
@@ -268,6 +263,22 @@ class AlgIdeal:
             self._mi = self.times(self.algebra.irrelevant_ideal())
         return self._mi
 
+    def generated_at_origin_by(self, reps):
+        """True when the polynomials reps, members of the lift, generate I in
+        the local ring at the origin.
+
+        First P + (reps) = P + I: global generation, so local generation
+        too.  Failing that, GB(P + mI) + (reps) = P + I, which says
+        I = (reps) + mI in S.  In the local ring at the origin I is finitely
+        generated and m is the maximal ideal, so Nakayama gives I = (reps)
+        there.  An ideal with zeros away from the origin, such as
+        (x^2 - x, xy + x), passes only the second check.
+        """
+        ring, reps = self.algebra.ring, tuple(reps)
+        if PolyIdeal(ring, self.algebra.defining.groebner() + reps).equals(self.lift):
+            return True
+        return PolyIdeal(ring, self.times_irrelevant().lift.groebner() + reps).equals(self.lift)
+
     def _short_gens(self):
         gb = self._lift._gb if self._lift is not None else None
         if gb is not None:
@@ -297,11 +308,15 @@ class AlgIdeal:
 
 
 def minimal_basis(ideal):
-    """A minimal homogeneous-style generating set of the ideal, smallest degrees first.
+    """A minimal generating set of the ideal at the origin, smallest degrees first.
 
     The members of GB(P + I) whose leads lie neither in in(P) nor in
-    in(P + mI), sorted by degree and then by descending lead; the returned
-    elements are verified to generate (lift equality).
+    in(P + mI), sorted by degree and then by descending lead.  Their classes
+    are a basis of I/mI = (P + I)/(P + mI): a nonzero combination of them
+    has the lead of one of them, outside in(P + mI), so the classes are
+    independent, and they are dim I/mI many (last point below).  The
+    elements are certified to generate I at the origin
+    (AlgIdeal.generated_at_origin_by), globally when they can.
 
     For a degree-compatible order these are the representatives of a basis
     of I/mI that the dense echelon route (tests/reference_minimal_basis.py)
@@ -336,7 +351,6 @@ def minimal_basis(ideal):
     kept = [g for g, m in zip(gb, leads) if not any(mono_divides(l, m) for l in dropped)]
     key = algebra.ring.order.key
     kept.sort(key=lambda g: (g.degree(), -key(g.leading_monomial())))
-    basis = [AlgElement(algebra, g) for g in kept]
-    if not AlgIdeal(algebra, basis).lift.equals(ideal.lift):
+    if not ideal.generated_at_origin_by(kept):
         raise ArithmeticError("minimal basis candidates fail to generate")
-    return basis
+    return [AlgElement(algebra, g) for g in kept]

@@ -25,6 +25,7 @@ from .monomials import monomials_up_to
 from .multiplicity import SamuelResult, adic_lengths, quotient_multiplicity, windowed_oracle
 from .reductions import (
     FcWindow,
+    _fc2_saturation,
     _fc_check_on_lift,
     find_minimal_reduction,
     height_and_equimultiple,
@@ -179,8 +180,9 @@ def bhattacharya_oracle(ideals, n0_range=(2, 5), n_ranges=None):
     (_bhattacharya_columns) is fitted exactly as a polynomial of total degree
     q - 1 on the deep end of the grid and validated on every remaining
     point; entries are the normalized top coefficients, keyed by type tuples
-    summing to q.  q is the Krull dimension of R/(P : (I_1 .. I_s)^inf),
-    saturating by one ideal at a time.
+    summing to q.  q is the Krull dimension of R/(P : (I_1 .. I_s)^inf), one
+    saturation per ideal that no other one lies inside
+    (reductions._fc2_saturation).
     """
     if isinstance(ideals, AlgIdeal):
         ideals = [ideals]
@@ -205,9 +207,7 @@ def bhattacharya_oracle(ideals, n0_range=(2, 5), n_ranges=None):
             and all(isinstance(v, int) for v in r) and 0 <= r[0] <= r[1]
         ):
             raise ValueError(f"range {r!r} must be a pair (lo, hi) with 0 <= lo <= hi")
-    sat = algebra.defining
-    for I in ideals:
-        sat = sat.saturate(PolyIdeal(algebra.ring, tuple(g.rep for g in I.gens)))
+    sat = _fc2_saturation(algebra.defining, [[g.rep for g in I.gens] for I in ideals])
     if sat.is_unit():
         raise ValueError("product of the ideals is nilpotent")
     q = sat.krull_dimension()

@@ -30,10 +30,6 @@ def mono_lcm(a, b):
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
-def mono_degree(a):
-    return sum(a)
-
-
 def minimal_monomials(monos):
     """Minimal generators of the monomial ideal spanned by monos, smallest degree first."""
     out = []

@@ -8,8 +8,8 @@ cached on first use, set directly on the S-polynomials and remainders it
 builds, and kept by scale and monic.
 """
 
-from .monomials import MonomialOrder, mono_degree, mono_mul
-from .scalars import FP_DEFAULT, PrimeField, QQ
+from .monomials import MonomialOrder, mono_mul
+from .scalars import FP_DEFAULT
 
 
 class PolyRing:

@@ -1,15 +1,14 @@
 """Reductions J of I, analytic spread, and the weak-FC sequence machinery.
 
-A reduction is certified by the least n with I^(n+1) = J I^n.  On
-homogeneous input that n is the top degree of F(I)/J F(I), read off one
-Hilbert series of the fiber cone F(I) = k[T]/Phi (Northcott-Rees), Phi from
-rees.rees_presentation, so no product J I^n is built and n has no bound.
-The same Phi gives the analytic spread, its Krull dimension, and the
+A reduction is certified by the least n with I^(n+1) = J I^n at the
+origin.  On every input that n is the top degree of F(I)/J F(I), read off
+one Hilbert series of the fiber cone F(I) = k[T]/Phi (Northcott-Rees), Phi
+from rees.rees_presentation, so no product J I^n is built and n has no
+bound.  The same Phi gives the analytic spread, its Krull dimension, and the
 degree-one piece I/mI of F(I) settles which candidates of a reduction search
 are minimally generated, so on homogeneous input the degrees of the
 generators the search drew are the degree sequence of the reduction it
-returns (reduction_degrees).  Other input compares I^(n+1) with J I^n for
-n = 0 .. DEFAULT_N_MAX.
+returns (reduction_degrees).
 
 FC checks run inside quotients by earlier sequence members; those quotients
 are handled entirely on polynomial lifts, so nothing here needs the quotient
@@ -37,14 +36,13 @@ from .monomials import monomials_of_degree
 from .polynomials import Polynomial, PolyRing
 from .rees import multi_rees, rees_presentation
 
-DEFAULT_N_MAX = 8
 DEFAULT_RETRIES = 32
 
 
 class ReductionCertificate(namedtuple(
-    "ReductionCertificate", "verdict n_witness n_max", defaults=(None, DEFAULT_N_MAX)
+    "ReductionCertificate", "verdict n_witness", defaults=(None,)
 )):
-    """verdict is "REDUCTION" or "INCONCLUSIVE"; n_max bounds the power test only."""
+    """verdict is "REDUCTION" or "INCONCLUSIVE"; n_witness is the reduction number."""
 
     __slots__ = ()
 
@@ -54,13 +52,13 @@ class ReductionCertificate(namedtuple(
 
 
 def is_reduction(J, I):
-    """Certify I^(n+1) = J I^n for some n; J must lie in I.
+    """Certify I^(n+1) = J I^n at the origin for some n; J must lie in I.
 
     The witness is the least such n, the reduction number of I with respect
-    to J.  On homogeneous input (I nonzero, proper and homogeneous, every
-    generator of J homogeneous; the defining ideal always is) it is read off
-    the fiber cone F = F(I) = sum of I^n / m I^n, and no product J I^n is
-    formed:
+    to J in the local ring at the origin.  J = I is witness 0, checked first
+    on the two lifts.  Otherwise a unit ideal I is INCONCLUSIVE, and a
+    proper I (nonzero, since I = 0 forces J = I) is read off the fiber cone
+    F = F(I) = sum of I^n / m I^n, with no product J I^n formed:
     - F = k[T]/Phi, T_i -> the class of the minimal generator g_i of I in
       I/mI (_fiber_cone).
     - JF is generated by the images of the generators of J in F_1 = I/mI.  A
@@ -69,14 +67,16 @@ def is_reduction(J, I):
       so the c_i are the one solution of NF_mI(j) = sum c_i NF_mI(g_i),
       zero on the g_i of other degrees than j.
     - (F/JF)_(n+1) = I^(n+1) / (J I^n + m I^(n+1)), so it is zero iff
-      I^(n+1) = J I^n + m I^(n+1), iff I^(n+1) = J I^n by graded Nakayama
-      (I^(n+1) is a finitely generated graded module, m the irrelevant ideal).
+      I^(n+1) = J I^n + m I^(n+1).  Each piece is killed by m, so it is its
+      own localisation at the origin, and there Nakayama makes this
+      I^(n+1) = J I^n (I^(n+1) is finitely generated, m the maximal ideal).
+      On homogeneous input graded Nakayama gives the global equality too.
     - F/JF = k[T]/(Phi + forms) is generated in degree 1, so a zero degree is
       followed by zeros only: the least n is the top degree of F/JF, which
       is Artinian exactly when some n exists.  Its Hilbert series is then the
       polynomial hilbert.leading_series returns, of degree n, with no bound.
-    Other input climbs the powers (_power_witness).  Either way J = I is
-    witness 0, checked first on the two lifts.
+    - Phi is homogeneous in T whatever I is: the Rees ideal is graded by the
+      power of t, each T of degree 1, and setting x to 0 keeps that grading.
     """
     if J.algebra != I.algebra:
         raise ValueError("mixed-algebra reduction test")
@@ -85,20 +85,9 @@ def is_reduction(J, I):
             raise ValueError("J is not contained in I")
     if J.lift.equals(I.lift):
         return ReductionCertificate("REDUCTION", 0)
-    # I = 0 forces J = I, answered above
-    if I.is_proper() and I.is_homogeneous() and all(g.rep.is_homogeneous() for g in J.gens):
-        return _fiber_witness(J, I)
-    return _power_witness(J, I)
-
-
-def _power_witness(J, I):
-    """The power test: compare I^(n+1) with J I^n for n = 0 .. DEFAULT_N_MAX."""
-    for n in range(DEFAULT_N_MAX + 1):
-        lhs = I.power(n + 1)
-        rhs = J.times(I.power(n))
-        if lhs.lift.equals(rhs.lift):
-            return ReductionCertificate("REDUCTION", n)
-    return ReductionCertificate("INCONCLUSIVE")
+    if not I.is_proper():
+        return ReductionCertificate("INCONCLUSIVE")
+    return _fiber_witness(J, I)
 
 
 def _fiber_forms(fiber, gens):
@@ -124,7 +113,7 @@ def _fiber_certificate(fiber, forms):
 
 
 def _fiber_witness(J, I):
-    """The top degree of F(I)/J F(I), for homogeneous J inside I (see is_reduction)."""
+    """The top degree of F(I)/J F(I), for J inside I (see is_reduction)."""
     fiber = _fiber_cone(I)
     return _fiber_certificate(fiber, _fiber_forms(fiber, J.gens))
 
@@ -189,9 +178,8 @@ def find_minimal_reduction(I, seed=0, retries=DEFAULT_RETRIES):
     walking candidate degree multisets smallest-first; otherwise generators
     are random combinations of the minimal basis.  A candidate J needs
     spread independent linear forms in F(I)_1 = I/mI, read once: dependent
-    ones are too few for F(I)/J F(I) to be Artinian.  On homogeneous I the
-    same forms give the certificate (is_reduction), else the power test
-    does.  Raises SearchExhausted on failure.
+    ones are too few for F(I)/J F(I) to be Artinian.  The same forms give
+    the certificate (is_reduction).  Raises SearchExhausted on failure.
 
     A homogeneous multiset in which some degree a occurs more often than I
     has minimal generators of degree a is skipped without a draw.  A
@@ -225,7 +213,7 @@ def find_minimal_reduction(I, seed=0, retries=DEFAULT_RETRIES):
         echelon = {}
         if sum(rref_insert(echelon, f.coeffs, field_) for f in forms) < spread:
             return None
-        cert = _fiber_certificate(fiber, forms) if homogeneous else is_reduction(J, I)
+        cert = _fiber_certificate(fiber, forms)
         if cert.ok:
             return (J, cert)
         return None
@@ -545,7 +533,9 @@ def build_fc_sequence(J, I, seed=0, retries=DEFAULT_RETRIES, window=None):
     """Triangular recombinations of the minimal basis of J passing FC checks.
 
     Element i is checked in the quotient by its predecessors against the tuple
-    (J, I, m); orders are reported in the original algebra.  Raises
+    (J, I, m); orders are reported in the original algebra.  The sequence
+    must regenerate J at the origin (AlgIdeal.generated_at_origin_by), as
+    the minimal basis it recombines does.  Raises
     SearchExhausted with the deepest level reached when retries run out.
     """
     if window is None:
@@ -607,8 +597,7 @@ def build_fc_sequence(J, I, seed=0, retries=DEFAULT_RETRIES, window=None):
                 break
             base_gens = base_gens + (x.rep,)
         if not failed:
-            final = PolyIdeal(algebra.ring, base_gens)
-            if not final.equals(J.lift):
+            if not J.generated_at_origin_by(x.rep for x in xs):
                 raise ArithmeticError("sequence does not regenerate J")
             return FcSequence(
                 xs, reports, tuple(sorted(x.order for x in xs)), attempt

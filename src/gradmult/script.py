@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import KernelError
 from .monomials import EXP_LIMIT
 from .polynomials import PolyRing
-from .scalars import FP_DEFAULT, field_from_text
+from .scalars import field_from_text
 
 
 class ParseError(KernelError):

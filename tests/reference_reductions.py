@@ -1,11 +1,17 @@
-"""The search that `reductions.find_minimal_reduction` replaced, kept as the
-reference.  On homogeneous I it walks every degree multiset smallest-first
-and spends all its retries on each, including the multisets that ask for
-more generators of some degree than I has, whose candidates the rank test in
-F(I)_1 rejects every time; it certifies through is_reduction, which reads
-the candidate's forms again.  On other input a candidate must have a
-minimal basis of spread elements (algebra.minimal_basis), not spread
-independent forms in F(I)_1."""
+"""Two routes of the reductions module that were replaced, kept as
+references.
+
+The search that `reductions.find_minimal_reduction` replaced.  On
+homogeneous I it walks every degree multiset smallest-first and spends all
+its retries on each, including the multisets that ask for more generators
+of some degree than I has, whose candidates the rank test in F(I)_1 rejects
+every time; it certifies through is_reduction, which reads the candidate's
+forms again.  On other input a candidate must have a minimal basis of
+spread elements (algebra.minimal_basis), not spread independent forms in
+F(I)_1.
+
+The power test that certified non-homogeneous input before the fiber cone
+did (power_witness), with its bound DEFAULT_N_MAX."""
 
 import itertools
 import random
@@ -16,6 +22,7 @@ from gradmult.linalg import rref_insert
 from gradmult.monomials import monomials_of_degree
 from gradmult.reductions import (
     DEFAULT_RETRIES,
+    ReductionCertificate,
     _fiber_cone,
     _fiber_forms,
     analytic_spread,
@@ -103,3 +110,21 @@ def find_minimal_reduction(I, seed=0, retries=DEFAULT_RETRIES):
         multisets=[list(m) for m in multisets],
         retries=retries,
     )
+
+
+DEFAULT_N_MAX = 8
+
+
+def power_witness(J, I):
+    """The power test: compare I^(n+1) with J I^n for n = 0 .. DEFAULT_N_MAX.
+
+    It answers the global question, so it is a reference for the local one
+    only where J (and so I) is supported at the origin: elsewhere both are
+    the unit ideal, where the equality holds for every n.
+    """
+    for n in range(DEFAULT_N_MAX + 1):
+        lhs = I.power(n + 1)
+        rhs = J.times(I.power(n))
+        if lhs.lift.equals(rhs.lift):
+            return ReductionCertificate("REDUCTION", n)
+    return ReductionCertificate("INCONCLUSIVE")

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from gradmult import INFINITE, make_algebra, minimal_basis, poly_ring
-from gradmult.algebra import order_and_initial
 
 from conftest import regenerate
 
@@ -37,7 +36,6 @@ def test_order_and_initial_form(nondomain):
     u = X + Y * Y
     assert u.order == 1
     assert u.initial_form == X
-    assert order_and_initial(u) == (1, X)
 
 
 def test_homogeneous_element_is_its_own_initial(kxy):

@@ -34,11 +34,12 @@ ring S vars [x, y] field qq relations [];
 cmd bogus x;
 """
 
-# not supported at the origin: minimal_basis finds candidates that fail to
-# generate and raises ArithmeticError, a kernel fault rather than bad input
+# packable generators whose S-pair shift takes an exponent to the packing
+# guard bit: the kernel raises ArithmeticError, a kernel fault rather than
+# bad input
 INTERNAL = """\
-ring S vars [x, y] field qq relations [];
-ideal I = [x^2 - x, x*y + x];
+ring S vars [x, y, z] field qq relations [];
+ideal I = [x^2147483646*y + z^2147483647, x*z - y];
 cmd degseq I;
 """
 

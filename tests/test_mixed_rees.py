@@ -312,3 +312,29 @@ def test_mixed_builds_one_rees_algebra(monkeypatch):
     assert rc == 0
     assert doc["reports"][0]["agree"] is True
     assert rees_builds == [("x", "y", "z", "T1", "T2", "T3", "T4", "T5", "t")]
+
+
+def test_bhattacharya_saturates_once_for_a_nested_pair(monkeypatch):
+    # J = (x^2, xz) lies inside I = (x, z) in k[x,y,z]/(xy), so
+    # P : (J I)^inf = P : J^inf = (y): one saturation, where saturating by
+    # each ideal in turn took two, and the same q
+    ring = poly_ring(("x", "y", "z"), PrimeField(32003))
+    x, y, z = ring.gens()
+    S = make_algebra(ring, [x * y])
+    x, y, z = S.gens()
+    J, I = AlgIdeal(S, [x * x, x * z]), AlgIdeal(S, [x, z])
+    in_turn = S.defining
+    for ideal in (J, I):
+        in_turn = in_turn.saturate(PolyIdeal(ring, tuple(g.rep for g in ideal.gens)))
+    real = PolyIdeal.saturate
+    calls = []
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(PolyIdeal, "saturate", counted)
+    table = bhattacharya_oracle([J, I])
+    assert len(calls) == 1
+    assert table.q == in_turn.krull_dimension() == 2
+    assert table.entries == {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}

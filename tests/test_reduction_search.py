@@ -4,14 +4,15 @@ and reads each candidate's forms in F(I)_1 once.
 On homogeneous I, `find_minimal_reduction` passes over a multiset in which
 some degree occurs more often than I has minimal generators of that degree,
 taking from its generator the coefficients the rejected draws would have
-taken, and certifies a candidate from the same forms its rank test read.
-On any I a candidate needs spread independent forms, where the replaced
-search asked non-homogeneous candidates for a minimal basis of spread
-elements.  So it must return what the reference search
-(`reference_reductions`) returns, generator for generator, with the same
-certificate, or raise the same SearchExhausted payload: over small and large
-prime fields and qq, for seeds 0 to 3, on ideals whose first multiset is
-skipped, on ideals where none is, and on non-homogeneous ideals.  The counts
+taken.  On any I a candidate needs spread independent forms, where the
+replaced search asked non-homogeneous candidates for a minimal basis of
+spread elements, and it is certified from the same forms its rank test
+read, where the replaced search called is_reduction.  So it must return
+what the reference search (`reference_reductions`) returns, generator for
+generator, with the same certificate, or raise the same SearchExhausted
+payload: over small and large prime fields and qq, for seeds 0 to 3, on
+ideals whose first multiset is skipped, on ideals where none is, and on
+non-homogeneous ideals.  The counts
 pin the saving: one candidate per search, its forms read once, where the
 whole first multiset was drawn before.  On seeded homogeneous ideals the
 degrees of the certified J's generators, which the fast paths read
@@ -132,13 +133,13 @@ def test_exhaustion_lists_the_skipped_multisets(name, multisets, monkeypatch):
 
 @pytest.mark.parametrize("name", NON_HOMOGENEOUS)
 def test_non_homogeneous_candidates_read_their_forms_once(name, monkeypatch):
-    # the rank test reads the forms; the power test certifies
+    # the rank test reads the forms, and the same forms certify
     I = _ideal(name, PrimeField(32003))
     assert not I.is_homogeneous()
     calls = _count_candidates(monkeypatch)
     J, cert = find_minimal_reduction(I)
     assert cert.ok
-    assert calls == {"_fiber_forms": 1, "_fiber_certificate": 0, "is_reduction": 1}
+    assert calls == {"_fiber_forms": 1, "_fiber_certificate": 1, "is_reduction": 0}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

@@ -3,8 +3,10 @@
 import pytest
 
 from gradmult import (
+    QQ,
     AlgIdeal,
     PolyIdeal,
+    PrimeField,
     SearchExhausted,
     analytic_spread,
     build_fc_sequence,
@@ -13,6 +15,8 @@ from gradmult import (
     find_minimal_reduction,
     height_and_equimultiple,
     is_reduction,
+    make_algebra,
+    poly_ring,
 )
 from gradmult.reductions import FcWindow
 
@@ -204,6 +208,19 @@ def test_build_fc_sequence_mixed_degrees(kxy):
     fc = build_fc_sequence(I, I)
     assert fc.o_values == (1, 2)
     assert all(r.ok for r in fc.reports)
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), QQ], ids=repr)
+def test_build_fc_sequence_regenerates_j_at_the_origin(field):
+    # I has zeros away from the origin, so its minimal basis, and the
+    # sequence drawn from it, generate it only locally
+    ring = poly_ring(("x", "y"), field)
+    x, y = ring.gens()
+    I = AlgIdeal(make_algebra(ring), [x * x - x, x * y + x])
+    fc = build_fc_sequence(I, I)
+    assert fc.o_values == degree_sequence(I) == (1,)
+    assert all(r.ok for r in fc.reports)
+    assert not PolyIdeal(ring, tuple(e.rep for e in fc.elements)).equals(I.lift)
 
 
 def test_build_fc_sequence_guards(kxy):
