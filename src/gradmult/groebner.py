@@ -7,35 +7,43 @@ saturation, intersection, elimination, dimension) go through it.
 The Buchberger loop runs on packed views (Polynomial.packed) end to end:
 S-pairs, heap normal forms and the pair update read packed monomials and
 int order keys; exponent tuples remain in the memo key and the output.
+Over qq it runs on primitive integer polynomials (field ZZ) and forms no
+fraction until the basis is made monic: s_polynomial, _reduce and
+normal_form read each S-pair's and each reduction step's multipliers off
+the coefficient domain (scalars); over a field they are 1/lc and 1.
 """
 
 import itertools
 import math
 import threading
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .hilbert import leading_series
 from .monomials import MonomialOrder, minimal_monomials
-from .polynomials import Polynomial, map_vars
+from .polynomials import PolyRing, Polynomial, map_vars
+from .scalars import QQ, ZZ
 
 INFINITE = math.inf
 
 
-def _shifted(tail, dk, dp, lc, field, mask):
-    """The packed tail times the monomial (dk, dp), divided by lc.  A
-    shifted exponent at the packing guard bit raises ArithmeticError."""
+def _shifted(tail, dk, dp, x, field, mask):
+    """The packed tail times the term x (dk, dp).  A shifted exponent at the
+    packing guard bit raises ArithmeticError."""
     out = [(k + dk, p + dp, c) for k, p, c in tail]
     if any(p & mask for _, p, _ in out):
         raise ArithmeticError("an S-pair exponent reaches the packing guard bit")
-    if lc != field.one:
-        inv, fmul = field.inv(lc), field.mul
-        out = [(k, p, fmul(c, inv)) for k, p, c in out]
+    if x != 1:
+        fmul = field.mul
+        out = [(k, p, fmul(c, x)) for k, p, c in out]
     return out
 
 
 def s_polynomial(f, g):
-    """lcm/lead(f) f/lc(f) - lcm/lead(g) g/lc(g), built on the packed views
-    (Polynomial.packed) and returned with its own view set.
+    """x lcm/lead(f) f - y lcm/lead(g) g, (x, y) = field.pair(lc(f), lc(g)),
+    built on the packed views (Polynomial.packed) and returned with its own
+    view set.  Over a field x = 1/lc(f) and y = 1/lc(g); over ZZ they are
+    the cofactors of the leads' gcd, so no fraction is formed.
 
     The lcm of two packable leads is packable: each of its fields is the
     larger of two fields below EXP_LIMIT.  So are the two shifts lcm/lead,
@@ -52,10 +60,11 @@ def s_polynomial(f, g):
     pk = order.packing
     fk, fp, fc, ftail = f.packed()
     gk, gp, gc, gtail = g.packed()
+    x, y = field.pair(fc, gc)
     lp = pk.lcm(fp, gp)
     lk = order.rev_key(pk.unpack(lp))
-    a = _shifted(ftail, lk - fk, lp - fp, fc, field, pk.mask)
-    b = _shifted(gtail, lk - gk, lp - gp, gc, field, pk.mask)
+    a = _shifted(ftail, lk - fk, lp - fp, x, field, pk.mask)
+    b = _shifted(gtail, lk - gk, lp - gp, y, field, pk.mask)
     fsub, fneg = field.sub, field.neg
     work = {k: (p, c) for k, p, c in a}
     for k, p, c in b:
@@ -76,16 +85,19 @@ def _reduce(f, reducers, field, quotient=None):
 
     Monagan–Pearce (2007): the live terms sit in a dict keyed by rev_key,
     and their keys on a heap, so the largest term is popped in O(log n) and
-    each term is keyed once, when it first appears.  A popped term is
-    reduced by the first reducer whose lead divides it, or kept.  Returns
-    the kept terms as (rev key, packed, coefficient) in decreasing order;
-    each reduction step's multiplier is appended to quotient, in the same
+    each term is keyed once, when it first appears.  A popped term c is
+    reduced by the first reducer r, of lead a, whose lead divides it, or
+    kept: with (m, q) = field.cancel(a, c), f becomes m f - q u r.  Over a
+    field m = 1; over ZZ m = a/gcd(a, c) multiplies the live and the kept
+    terms too (pseudo-division, Monagan–Pearce 2011).  Returns the kept
+    terms as (rev key, packed, coefficient) in decreasing order; over a
+    field, each step's multiplier u q is appended to quotient, in the same
     form, when it is given.  None means that no term was reduced, so f is
     its own remainder.  A product that reaches the packing guard bit raises
     ArithmeticError.
     """
     mask = f.ring.order.packing.mask
-    submul, fdiv = field.submul, field.div
+    submul, cancel = field.submul, field.cancel
     lk, lp, lc, tail = f.packed()
     work = {lk: lc}
     packs = {lk: lp}
@@ -109,7 +121,10 @@ def _reduce(f, reducers, field, quotient=None):
             out.append((k, p, c))
             continue
         reduced = True
-        factor = fdiv(c, gc)
+        m, factor = cancel(gc, c)
+        if m != 1:
+            work = {j: v * m for j, v in work.items()}
+            out = [(j, q, v * m) for j, q, v in out]
         uk, up = k - gk, p - gp
         if quotient is not None:
             quotient.append((uk, up, factor))
@@ -134,7 +149,8 @@ def normal_form(f, basis):
     divides the current term, so the result is deterministic for a fixed basis.
     The reduction runs on packed monomials with a heap of live terms
     (_reduce); the basis elements' packed views stay cached on them, and a
-    remainder comes back with its own view set.  An exponent at the packing
+    remainder comes back with its own view set.  Over ZZ the remainder is
+    that over qq times a nonzero integer.  An exponent at the packing
     guard bit raises ArithmeticError.
     """
     if not f.coeffs:
@@ -154,13 +170,10 @@ _memo = {}
 _memo_lock = threading.Lock()
 
 
-def _flat_key(p):
-    """p's terms as one flat (exp, coeff, exp, coeff, ...) tuple, sorted by exponent."""
-    return tuple(itertools.chain.from_iterable(sorted(p.coeffs.items())))
-
-
-def _distinct_monic(gens):
-    """(ring, {flat key: monic generator}) of the nonzero generators, in first-seen order."""
+def _distinct(gens):
+    """(ring, {key: generator}) of the nonzero generators, in first-seen
+    order, one per key (Polynomial.key), so one per class of nonzero
+    multiples."""
     gens = tuple(gens)
     if not gens:
         return None, {}
@@ -170,19 +183,21 @@ def _distinct_monic(gens):
         if g.ring is not ring and g.ring != ring:
             raise ValueError("generators come from different rings")
         if g.coeffs:
-            g = g.monic()
-            polys.setdefault(_flat_key(g), g)
+            polys.setdefault(g.key(), g)
     return ring, polys
 
 
 def buchberger(gens):
-    """Reduced Groebner basis, sorted ascending by leading monomial.
+    """Reduced Groebner basis, sorted ascending by leading monomial, each
+    element monic.
 
-    Memoised by the ring key and the set of monic generators, so rescaled,
-    reordered or repeated generator lists of one ideal share one entry.
-    The returned polynomials are shared between callers and never mutated.
+    Memoised by the ring key and the set of generator keys
+    (Polynomial.key), so rescaled, reordered or repeated generator lists of
+    one ideal share one entry.  Over qq the core runs on the generators'
+    primitive integer forms, read off those keys (_reduced_basis).  The
+    returned polynomials are shared between callers and never mutated.
     """
-    ring, polys = _distinct_monic(gens)
+    ring, polys = _distinct(gens)
     if not polys:
         return ()
     key = (ring.key(), frozenset(polys))
@@ -197,16 +212,31 @@ def buchberger(gens):
     return basis
 
 
-def _reduced_basis(polys):
-    """Reduced Groebner basis of distinct nonzero monic polynomials of one ring.
+def _monic_over(ring, g):
+    """The primitive integer polynomial g as a monic polynomial of the qq
+    ring, with g's packed view."""
+    lk, lp, lc, tail = g.packed()
+    return Polynomial.from_packed(
+        ring, [(lk, lp, QQ.one)] + [(k, p, Fraction(c, lc)) for k, p, c in tail]
+    )
 
-    The uncached core of buchberger.  Every element is held as its packed
-    view (Polynomial.packed) from input to output: S-polynomials are formed
-    on the views (s_polynomial), remainders come back with theirs
-    (normal_form) and keep them when made monic, and the pair bookkeeping
-    reads packed leads through the Packing helpers.  Pairs are pruned once,
-    when they are formed, by the Gebauer–Möller update (1988) run as each h
-    joins G:
+
+def _reduced_basis(polys):
+    """Reduced Groebner basis of nonzero polynomials of one ring, no two
+    multiples of each other; each element monic.
+
+    The uncached core of buchberger.  It runs on the monic generators over
+    fp(p), and over qq on their primitive integer forms (Polynomial.key), as
+    polynomials over ZZ: pseudo-division keeps every coefficient an integer
+    (scalars.IntegerDomain), and the basis is made monic over qq at the end.
+    Every element is held as its packed view (Polynomial.packed) from input
+    to output: S-polynomials are formed on the views (s_polynomial),
+    remainders come back with theirs (normal_form) and keep them when
+    normalised (field.normalise: monic over a field, primitive over ZZ),
+    and the pair bookkeeping reads packed leads through the Packing helpers.
+    The pairs chosen do not depend on the coefficients, so ZZ forms the
+    same S-pairs as qq.  Pairs are pruned once, when they are formed, by
+    the Gebauer–Möller update (1988) run as each h joins G:
 
     - M: a new pair (g, h) stays only if lcm(g, h) is a minimal generator of
       the new lcms;
@@ -230,6 +260,12 @@ def _reduced_basis(polys):
             ring.monomial(m) for m in sorted(minimal, key=okey)
         )
 
+    if ring.field == QQ:
+        zring = PolyRing(ring.names, ZZ, ring.order)
+        polys = [Polynomial(zring, dict(zip(k[::2], k[1::2]))) for k in map(Polynomial.key, polys)]
+    else:
+        polys = [p.monic() for p in polys]
+    normalise = polys[0].ring.field.normalise
     pk = ring.order.packing
     divides, lcm, coprime = pk.divides, pk.lcm, pk.coprime
     G = []
@@ -278,7 +314,7 @@ def _reduced_basis(polys):
         _, _, _, i, j = heappop(pairq)
         r = normal_form(s_polynomial(G[i], G[j]), G)
         if r.coeffs:
-            update(r.monic())
+            update(normalise(r))
 
     # minimal basis: drop anything whose lead another kept lead divides;
     # ascending in the order is descending in rev key
@@ -293,8 +329,10 @@ def _reduced_basis(polys):
     # divides another, so each lead survives its normal form and the leads
     # never change, and a normal form keeps no term any other lead divides
     for idx in range(len(kept)):
-        kept[idx] = normal_form(kept[idx], kept[:idx] + kept[idx + 1:])
+        kept[idx] = normalise(normal_form(kept[idx], kept[:idx] + kept[idx + 1:]))
     kept.sort(key=lambda p: -p.packed()[0])
+    if ring.field == QQ:
+        return tuple(_monic_over(ring, g) for g in kept)
     return tuple(kept)
 
 
@@ -359,11 +397,8 @@ class PolyIdeal:
         for g in gens:
             if not isinstance(g, Polynomial) or g.ring != ring:
                 raise ValueError("generators must be polynomials of the given ring")
-            if not g.coeffs:
-                continue
-            h = frozenset(g.coeffs.items())
-            if h not in seen:
-                seen.add(h)
+            if g.coeffs and g not in seen:
+                seen.add(g)
                 clean.append(g)
         self.gens = tuple(clean)
         self._gb = None

@@ -5,8 +5,12 @@ Term order only matters at the surface (leading data, display), so arithmetic
 is plain dict merging; ordered views are produced on demand.  The Groebner
 kernel reads a polynomial through its packed view (Polynomial.packed),
 cached on first use, set directly on the S-polynomials and remainders it
-builds, and kept by scale and monic.
+builds, and kept by scale and monic.  Polynomials are never changed once
+built, so each also caches its key (Polynomial.key), which names it up to a
+nonzero scalar, and the hash of that key.
 """
+
+import itertools
 
 from .monomials import MonomialOrder, mono_mul
 from .scalars import FP_DEFAULT
@@ -91,14 +95,17 @@ class PolyRing:
 
 
 class Polynomial:
-    __slots__ = ("ring", "coeffs", "_lead", "_packed")
+    __slots__ = ("ring", "coeffs", "_lead", "_packed", "_key", "_hash")
 
     def __init__(self, ring, coeffs):
-        # takes ownership of coeffs; zero values must already be gone
+        # takes ownership of coeffs, which is never changed after;
+        # zero values must already be gone
         self.ring = ring
         self.coeffs = coeffs
         self._lead = None
         self._packed = None
+        self._key = None
+        self._hash = None
 
     # -- structure -----------------------------------------------------------
 
@@ -234,11 +241,13 @@ class Polynomial:
         fmul = self.ring.field.mul
         if self._packed is not None:
             lk, lp, lc, tail = self._packed
-            return Polynomial.from_packed(
+            out = Polynomial.from_packed(
                 self.ring, [(lk, lp, fmul(lc, c))] + [(k, p, fmul(v, c)) for k, p, v in tail]
             )
-        out = Polynomial(self.ring, {e: fmul(v, c) for e, v in self.coeffs.items()})
-        out._lead = self._lead
+        else:
+            out = Polynomial(self.ring, {e: fmul(v, c) for e, v in self.coeffs.items()})
+            out._lead = self._lead
+        out._key, out._hash = self._key, self._hash
         return out
 
     def __mul__(self, other):
@@ -286,26 +295,6 @@ class Polynomial:
             k >>= 1
         return result
 
-    def substitute(self, assign):
-        """Evaluate with variable i replaced by assign[i] (a same-ring Polynomial)."""
-        ring = self.ring
-        images = {}
-        for i, img in assign.items():
-            if not isinstance(img, Polynomial) or img.ring != ring:
-                raise ValueError("substitution images must live in the same ring")
-            images[i] = img
-        out = ring.zero()
-        for e, c in self.coeffs.items():
-            term = ring.constant(c)
-            for i, exp in enumerate(e):
-                if exp == 0:
-                    continue
-                base = images.get(i)
-                term = term * (base ** exp if base is not None else ring.monomial(
-                    tuple(exp if j == i else 0 for j in range(ring.n))))
-            out = out + term
-        return out
-
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other):
@@ -316,7 +305,22 @@ class Polynomial:
         return self.ring == other.ring and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
+
+    def key(self):
+        """self up to a nonzero scalar: one flat (exp, c, exp, c, ...) tuple
+        of ints in increasing exponent, the c scaled by field.associate so
+        that the last one is 1 over fp(p), or made the primitive integer form
+        with the last one positive over qq.  Cached; buchberger's memo keys
+        on it, and __hash__ hashes it."""
+        if self._key is None:
+            coeffs = self.coeffs
+            exps = sorted(coeffs)
+            values = self.ring.field.associate([coeffs[e] for e in exps]) if exps else ()
+            self._key = tuple(itertools.chain.from_iterable(zip(exps, values)))
+        return self._key
 
     def sort_key(self):
         """Deterministic total key: compare by ordered term list."""

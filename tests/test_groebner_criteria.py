@@ -2,15 +2,23 @@
 core on exponent tuples and the chain-criterion core it replaced, with every
 basis checked by an independent certificate."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 import reference_groebner
-from gradmult import QQ, MonomialOrder, Polynomial, PrimeField, buchberger, poly_ring
+from gradmult import QQ, MonomialOrder, PolyIdeal, Polynomial, PrimeField, buchberger, poly_ring
 from gradmult import groebner
 from gradmult.monomials import monomials_of_degree
-from reference_groebner import is_groebner_basis, reference_gm_basis, reference_reduced_basis
+from gradmult.polynomials import map_vars
+from reference_groebner import (
+    is_groebner_basis,
+    reference_gm_basis,
+    reference_reduced_basis,
+    reference_saturate,
+)
 
 FIELDS = [PrimeField(2), PrimeField(3), PrimeField(32003), PrimeField(2147483647), QQ]
 ORDERS = [
@@ -41,13 +49,15 @@ def with_pair_count(core, module, name, polys):
 
 
 def compare(gens):
-    """The packed core, the tuple core and the chain-criterion core on the
-    distinct monic generators: the bases must be equal and certified, the
+    """The packed core on the distinct generators (over qq it runs on their
+    primitive integer forms), and the tuple core and the chain-criterion
+    core on them made monic: the bases must be equal and certified, the
     two Gebauer–Möller cores must reduce the same number of S-pairs, and
     every packed view the packed core kept must be that of its polynomial."""
-    _, polys = groebner._distinct_monic(gens)
+    _, polys = groebner._distinct(gens)
     polys = tuple(polys.values())
     basis, pairs = with_pair_count(groebner._reduced_basis, groebner, "s_polynomial", polys)
+    polys = tuple(g.monic() for g in polys)
     tuple_basis, tuple_pairs = with_pair_count(
         reference_gm_basis, reference_groebner, "reference_s_polynomial", polys
     )
@@ -158,3 +168,61 @@ def test_certificate_rejects_non_bases():
     assert not is_groebner_basis(
         tuple(g + basis[0] if i else g for i, g in enumerate(basis)), gens
     )
+
+
+def rational_poly(ring, rng, degree=None):
+    """Two to four terms with coefficients n/d, |n| and d up to 10^6, times
+    a random integer content of up to 12."""
+    content = rng.randint(2, 12)
+    f = ring.zero()
+    while not f.coeffs:
+        for _ in range(rng.randint(2, 4)):
+            c = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+            f = f + ring.monomial(random_exponent(rng, ring.n, degree), content * c)
+    return f
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=repr)
+def test_qq_integer_forms_match_reference(order):
+    """Over qq the core runs on primitive integer forms: large denominators,
+    contents above 1, negative leads and rational multiples of one
+    generator must give the monic basis of the tuple core from the same
+    S-pairs."""
+    rng = random.Random(f"zz {order!r}")
+    ring = poly_ring(NAMES, QQ, order)
+    for _ in range(4):
+        gens = [rational_poly(ring, rng, rng.randint(1, 3)) for _ in range(3)]
+        lead = gens[0].leading_coeff()
+        gens[0] = gens[0].scale(-1 if lead > 0 else 1)  # a negative lead
+        gens.append(gens[1].scale(Fraction(-rng.randint(1, 10**6), rng.randint(1, 10**6))))
+        key = gens[1].key()
+        assert gens[-1].key() == key
+        values = key[1::2]
+        assert all(type(c) is int for c in values) and values[-1] > 0
+        assert math.gcd(*values) == 1
+        _, distinct = groebner._distinct(gens)
+        assert len(distinct) == len(gens) - 1
+        compare(gens)
+
+
+def test_qq_saturation_matches_reference():
+    """A seeded qq saturation: the Rabinowitsch generators run through the
+    three cores, and the u-free part of the basis is I : J^infinity."""
+    rng = random.Random(2600)
+    ring = poly_ring(("x", "y", "z"), QQ)
+    x, y, z = ring.gens()
+    line = x - Fraction(3, 7) * y + 2 * z
+    I = PolyIdeal(ring, [line * rational_poly(ring, rng), line * rational_poly(ring, rng, 1),
+                         rational_poly(ring, rng) * (y - 4 * z)])
+    J = PolyIdeal(ring, [line])
+    uring = ring.extended(("u",), MonomialOrder.elimination(4, (3,)))
+    pos = (0, 1, 2)
+    gens = [map_vars(g, uring, pos) for g in I.groebner()]
+    gens.append(uring.one() - uring.var(3) * map_vars(line, uring, pos))
+    basis = compare(gens)
+    free = [Polynomial(ring, {e[:3]: c for e, c in g.coeffs.items()})
+            for g in basis if all(e[3] == 0 for e in g.coeffs)]
+    sat = I.saturate(J)
+    assert len(sat.groebner()) == 6
+    assert sat.groebner() == buchberger(free)
+    assert sat.equals(reference_saturate(I, J))

@@ -1,10 +1,11 @@
 """The buchberger memo against its uncached core, and the mixed-ring guard."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from gradmult import QQ, MonomialOrder, Polynomial, PrimeField, buchberger, poly_ring
+from gradmult import QQ, MonomialOrder, PolyIdeal, Polynomial, PrimeField, buchberger, poly_ring
 from gradmult import groebner
 
 FIELDS = [PrimeField(2), PrimeField(3), PrimeField(32003), PrimeField(2147483647), QQ]
@@ -12,7 +13,7 @@ FIELDS = [PrimeField(2), PrimeField(3), PrimeField(32003), PrimeField(2147483647
 
 def cold(gens):
     """Reduced basis from the uncached core, the reference the memo must match."""
-    _, polys = groebner._distinct_monic(gens)
+    _, polys = groebner._distinct(gens)
     return groebner._reduced_basis(tuple(polys.values())) if polys else ()
 
 
@@ -148,3 +149,53 @@ def test_mixed_rings_rejected_for_polynomials():
     # coprime leads x and y^2: no S-pair is reduced, so this used to pass
     with pytest.raises(ValueError, match="different rings"):
         buchberger([x + y, ey * ey + ey])
+
+
+def test_rational_multiples_share_one_entry():
+    """Over qq the key is the primitive integer form: generators with large
+    denominators, contents above 1 and either sign of lead, given again as
+    rational multiples, hit the entry their first call made."""
+    rng = random.Random(26)
+    ring = poly_ring(("x", "y", "z"), QQ)
+    groebner._memo.clear()
+    for _ in range(8):
+        gens = [
+            g.scale(Fraction(rng.choice((-1, 1)) * rng.randint(2, 12) * rng.randint(1, 10**6),
+                             rng.randint(1, 10**6)))
+            for g in random_gens(ring, rng)
+        ]
+        basis = buchberger(gens)
+        assert basis == cold(gens)
+        assert all(g.leading_coeff() == 1 for g in basis)
+        # built afresh: scale would hand each multiple its generator's cached key
+        multiples = []
+        for g in gens:
+            q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+            multiples.append(Polynomial(ring, {e: c * q for e, c in g.coeffs.items()}))
+        assert [g.key() for g in multiples] == [g.key() for g in gens]
+        assert all(hash(a) == hash(b) for a, b in zip(multiples, gens))
+        assert buchberger(multiples) is basis
+        assert buchberger(list(reversed(multiples)) + gens) is basis
+    assert len(groebner._memo) == 8
+    # equal generators collapse in an ideal, multiples stay apart
+    g = gens[0]
+    again = Polynomial(ring, dict(g.coeffs))
+    assert PolyIdeal(ring, [g, again, multiples[0]]).gens == (g, multiples[0])
+
+
+def test_keys_are_integer_and_primitive():
+    """A key scales the coefficients so that the term of largest exponent
+    has 1 over fp(p), and over qq is the primitive integer form with that
+    term positive."""
+    ring = poly_ring(("x", "y"), QQ)
+    x, y = ring.gens()
+    f = 6 * x * x - 4 * x * y + 10 * y
+    assert f.key() == ((0, 1), 5, (1, 1), -2, (2, 0), 3)
+    assert f.scale(Fraction(-7, 3)).key() == f.key()
+    assert (-f).key() == f.scale(Fraction(1, 999983)).key() == f.key()
+    # the largest exponent, (2, 0), keeps the positive coefficient
+    assert (f - 12 * x * x).key() == ((0, 1), -5, (1, 1), 2, (2, 0), 3)
+    fp = poly_ring(("x", "y"), PrimeField(7))
+    u, v = fp.gens()
+    assert (3 * u * u + v).key() == ((0, 1), 5, (2, 0), 1)
+    assert fp.zero().key() == () and hash(fp.zero()) == hash(())
