@@ -169,10 +169,10 @@ class AlgElement:
 class AlgIdeal:
     """Ideal of a graded algebra, with its polynomial-ring lift cached (and its
     powers, kept by groebner.memo_power, its product mI with the irrelevant
-    ideal, and its fiber cone, built by reductions._fiber_cone off
-    rees.rees_presentation)."""
+    ideal, its fiber cone, built by reductions._fiber_cone off
+    rees.rees_presentation, and its reductions.find_minimal_reduction)."""
 
-    __slots__ = ("algebra", "gens", "_lift", "_powers", "_mi", "_fiber")
+    __slots__ = ("algebra", "gens", "_lift", "_powers", "_mi", "_fiber", "_reductions")
 
     def __init__(self, algebra, items):
         self.algebra = algebra
@@ -191,6 +191,7 @@ class AlgIdeal:
         self._powers = None
         self._mi = None
         self._fiber = None
+        self._reductions = None
 
     @property
     def lift(self):

@@ -2,25 +2,26 @@
 
 The oracle side is exact arithmetic all the way down: Bhattacharya tables come
 from layer lengths l(m^a K / m^(a+1) K) fitted by an exact polynomial.  Every
-length of the grid, K running over the products of ideal powers, counts
-standard monomials of one multi-Rees presentation S[I_1 t_1, .., I_s t_s]
-(rees.multi_rees), with no power of an ideal and no product formed.  The
-Rees multiplicity comes from the (x, T)-adic colengths of the presentation
-rees.rees_presentation gives, read off the Hilbert function of its tangent
-cone at the origin (one Lazard standard basis for every length).  Fast paths
-are the degree-sequence product formulas, on the degrees of the minimal
-reduction the search certifies (reductions.reduction_degrees); the two sides
-are never mixed.
+length of the grid, K running over the products of powers of any number of
+ideals, counts standard monomials of one multi-Rees presentation
+S[I_1 t_1, .., I_s t_s] over their minimal bases (rees.multi_rees), with no
+power of an ideal and no product formed.  The Rees multiplicity comes from
+the (x, T)-adic colengths of rees.rees_presentation, the presentation a
+table of one ideal reads, off the Hilbert function of its tangent cone at
+the origin (one Lazard standard basis for every length).  Fast paths are
+the degree-sequence product formulas on the minimal reduction of the one
+search per ideal (reductions.find_minimal_reduction); the two sides are
+never mixed.
 """
 
 import itertools
 from collections import namedtuple
 from math import factorial, prod
 
-from .algebra import AlgIdeal
+from .algebra import AlgIdeal, minimal_basis
 from .errors import FitMismatch, HypothesisFail
 from .groebner import PolyIdeal
-from .linalg import rref_insert, solve
+from .linalg import rref_insert
 from .monomials import monomials_up_to
 from .multiplicity import SamuelResult, adic_lengths, quotient_multiplicity, windowed_oracle
 from .reductions import (
@@ -57,19 +58,18 @@ def rees_multiplicity_oracle(I, window=None):
     return result
 
 
-def _reduction_degrees(I, h, degseq, seed):
-    """The given degree sequence, else that of a minimal reduction, read off
-    the search (reductions.reduction_degrees); h entries."""
-    if degseq is None:
-        J, _ = find_minimal_reduction(I, seed=seed)
-        degseq = reduction_degrees(I, J)
-    degseq = tuple(degseq)
+def _reduction_degrees(I, h, seed):
+    """The degree sequence of the minimal reduction the search certifies
+    (reductions.reduction_degrees): h entries, as an equimultiple I has
+    analytic spread h."""
+    J, _ = find_minimal_reduction(I, seed=seed)
+    degseq = reduction_degrees(I, J)
     if len(degseq) != h:
-        raise ValueError(f"degree sequence must have height = {h} entries")
+        raise ArithmeticError(f"minimal reduction has {len(degseq)} generators, height {h}")
     return degseq
 
 
-def rees_multiplicity_fastpath(I, degseq=None, seed=0):
+def rees_multiplicity_fastpath(I, seed=0):
     """e(R(I)) = (1 + sum_{i<h} a_1..a_i) e(S) from a minimal reduction's
     degrees: the sum over i < h of the mixed fast-path values a_1..a_i e(S)."""
     algebra = I.algebra
@@ -83,7 +83,7 @@ def rees_multiplicity_fastpath(I, degseq=None, seed=0):
             spread=hr.spread,
         )
     h = hr.height
-    degseq = _reduction_degrees(I, h, degseq, seed)
+    degseq = _reduction_degrees(I, h, seed)
     value = sum(prod(degseq[:i]) for i in range(h)) * algebra.mult
     return SamuelResult(
         value,
@@ -110,13 +110,13 @@ class ReesReport(namedtuple("ReesReport", "fastpath oracle", defaults=(None, Non
         return r.value
 
 
-def rees_multiplicity(I, mode="both", degseq=None, window=None, seed=0):
+def rees_multiplicity(I, mode="both", window=None, seed=0):
     """Rees algebra multiplicity by either or both routes."""
     if mode not in ("oracle", "fastpath", "both"):
         raise ValueError(f"unknown mode {mode!r}")
     fastpath = oracle = None
     if mode in ("fastpath", "both"):
-        fastpath = rees_multiplicity_fastpath(I, degseq=degseq, seed=seed)
+        fastpath = rees_multiplicity_fastpath(I, seed=seed)
     if mode in ("oracle", "both"):
         oracle = rees_multiplicity_oracle(I, window=window)
     return ReesReport(fastpath, oracle)
@@ -149,26 +149,15 @@ def _bhattacharya_columns(ideals, n0s, axes):
     """{ns: {a: l(m^a K / m^(a+1) K) for a in n0s}} for every ns of the
     product of the axes, K = prod_k I_k^(ns_k), off one presentation.
 
-    The homogeneous components of the generators of each graded I_k lie in
-    it and generate it; made monic and listed as algebra.minimal_basis lists
-    its members (degree, then descending lead), they are block k of
-    S[I_1 t_1, .., I_s t_s] (rees.multi_rees).  Lengths do not depend on
-    how a block is scaled or ordered, and a block that is the minimal basis
-    of I_k gives the presentation reductions._fiber_cone builds for I_k, one
-    basis for both.  By the counting argument of the rees module the layer
-    has length the number of standard monomials of block degree ns and
-    x-degree exactly a (BlockSeries.layer); ns = 0 gives K = S.
+    Block k of S[I_1 t_1, .., I_s t_s] (rees.multi_rees) is the minimal
+    basis of the graded I_k, whose members are homogeneous; for one ideal
+    that is the presentation of rees.rees_presentation, one basis for the
+    fiber cone, the Rees oracle and the table.  By the counting argument
+    of the rees module the layer has length the number of standard monomials
+    of block degree ns and x-degree exactly a (BlockSeries.layer); ns = 0
+    gives K = S.
     """
-    key = ideals[0].algebra.ring.order.key
-    blocks = [
-        sorted(
-            dict.fromkeys(
-                c.monic() for g in I.gens for c in g.rep.homogeneous_components().values()
-            ),
-            key=lambda c: (c.degree(), -key(c.leading_monomial())),
-        )
-        for I in ideals
-    ]
+    blocks = [[g.rep for g in minimal_basis(I)] for I in ideals]
     series = multi_rees(ideals[0].algebra.defining, blocks).series()
     return {ns: {a: series.layer(ns, a) for a in n0s} for ns in itertools.product(*axes)}
 
@@ -179,16 +168,18 @@ def bhattacharya_oracle(ideals, n0_range=(2, 5), n_ranges=None):
     h(n0, n) = l(m^{n0} K / m^{n0+1} K) with K the product of ideal powers
     (_bhattacharya_columns) is fitted exactly as a polynomial of total degree
     q - 1 on the deep end of the grid and validated on every remaining
-    point; entries are the normalized top coefficients, keyed by type tuples
-    summing to q.  q is the Krull dimension of R/(P : (I_1 .. I_s)^inf), one
-    saturation per ideal that no other one lies inside
-    (reductions._fc2_saturation).
+    point.  The augmented rows [row | h(p)] of the deep end enter one echelon
+    form up to full column rank, where it holds the fit; a pivot in the value
+    column means no polynomial fits.  Entries are the normalized top
+    coefficients, keyed by type tuples summing to q.  q is the Krull
+    dimension of R/(P : (I_1 .. I_s)^inf), one saturation per ideal that no
+    other one lies inside (reductions._fc2_saturation).
     """
     if isinstance(ideals, AlgIdeal):
         ideals = [ideals]
     s = len(ideals)
-    if s not in (1, 2):
-        raise ValueError("supported for one or two ideals")
+    if not s:
+        raise ValueError("need at least one ideal")
     algebra = ideals[0].algebra
     for I in ideals:
         if I.algebra != algebra:
@@ -221,24 +212,22 @@ def bhattacharya_oracle(ideals, n0_range=(2, 5), n_ranges=None):
     monos = sorted(monomials_up_to(1 + s, q - 1), key=lambda e: (sum(e), e), reverse=True)
     points = sorted(grid, key=lambda p: (sum(p), p), reverse=True)
     rows = {p: [prod(b**x for b, x in zip(p, e)) for e in monos] for p in points}
+    width = len(monos)
     chosen = []
-    coeffs = None
     echelon = {}
     for p in points:
         chosen.append(p)
-        rref_insert(echelon, {j: v for j, v in enumerate(rows[p]) if v}, QQ)
-        # the fit is unique only once the chosen rows have full column rank
-        if len(echelon) < len(monos):
-            continue
-        columns = [dict(enumerate(col)) for col in zip(*(rows[p2] for p2 in chosen))]
-        coeffs = solve(QQ, columns, dict(enumerate(grid[p2] for p2 in chosen)))
-        if coeffs is not None:
+        rref_insert(echelon, {j: v for j, v in enumerate(rows[p] + [grid[p]]) if v}, QQ)
+        # the fit is unique once the chosen rows have full column rank; a
+        # pivot in the value column means no polynomial fits them
+        if len(echelon) == width or width in echelon:
             break
-    if coeffs is None:
+    if width in echelon or len(echelon) < width:
         raise FitMismatch(
             "no invertible fit system inside the grid",
             grid={str(k): v for k, v in grid.items()},
         )
+    coeffs = [echelon[j].get(width, 0) for j in range(width)]
     mismatches = []
     for p, val in grid.items():
         pred = sum(c * rv for c, rv in zip(coeffs, rows[p]))
@@ -277,7 +266,7 @@ def bhattacharya_oracle(ideals, n0_range=(2, 5), n_ranges=None):
     )
 
 
-def mixed_fastpath(I, degseq=None, i=None, seed=0):
+def mixed_fastpath(I, i=None, seed=0):
     """e(m^[d-i], I^[i]) = a_1..a_i e(S) for i < h; 0 for i >= h (vanishing)."""
     algebra = I.algebra
     d = algebra.dim
@@ -295,7 +284,7 @@ def mixed_fastpath(I, degseq=None, i=None, seed=0):
     h = hr.height
     if i >= h:
         return SamuelResult(0, "fastpath-rem-3.5", None, {"height": h, "i": i})
-    degseq = _reduction_degrees(I, h, degseq, seed)
+    degseq = _reduction_degrees(I, h, seed)
     value = algebra.mult * prod(degseq[:i])
     return SamuelResult(
         value,
@@ -324,12 +313,13 @@ def mixed_via_fc_quotient(I, xs):
     if t == 0:
         # empty sequence: the quotient is S itself
         return QuotientRouteReport(algebra.mult, 0, True, 1, algebra.mult, True)
-    hr = height_and_equimultiple(I)
-    if t >= hr.height:
-        raise HypothesisFail(
-            "sequence length must stay below the height", height=hr.height, t=t
-        )
+    if I.is_zero() or not I.is_proper():
+        raise ValueError("need a nonzero proper ideal")
     d = algebra.dim
+    # the codimension alone: no fiber cone is built
+    height = d - I.lift.krull_dimension()
+    if t >= height:
+        raise HypothesisFail("sequence length must stay below the height", height=height, t=t)
     quot = AlgIdeal(algebra, xs)
     quot_dim = quot.lift.krull_dimension()
     if quot_dim != d - t:
@@ -412,8 +402,8 @@ def invariance_check(I, E, with_oracle=True, seed=0):
     J_e, _ = find_minimal_reduction(E, seed=seed)
     seq_i = reduction_degrees(I, J_i)
     seq_e = reduction_degrees(E, J_e)
-    fp_i = rees_multiplicity_fastpath(I, degseq=seq_i)
-    fp_e = rees_multiplicity_fastpath(E, degseq=seq_e)
+    fp_i = rees_multiplicity_fastpath(I, seed=seed)
+    fp_e = rees_multiplicity_fastpath(E, seed=seed)
     oracles = ()
     if with_oracle:
         oracles = (

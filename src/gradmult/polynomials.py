@@ -125,13 +125,6 @@ class Polynomial:
         degs = {sum(e) for e in self.coeffs}
         return len(degs) <= 1
 
-    def homogeneous_components(self):
-        """dict degree -> homogeneous part; empty for 0."""
-        parts = {}
-        for e, c in self.coeffs.items():
-            parts.setdefault(sum(e), {})[e] = c
-        return {d: Polynomial(self.ring, p) for d, p in sorted(parts.items())}
-
     def terms(self):
         """(exponent tuple, coefficient) pairs, strictly decreasing in the ring order."""
         key = self.ring.order.key

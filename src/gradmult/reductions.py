@@ -172,6 +172,17 @@ def height_and_equimultiple(I):
 
 
 def find_minimal_reduction(I, seed=0, retries=DEFAULT_RETRIES):
+    """(J, certificate) of _search_reduction, run once per ideal and (seed,
+    retries) and kept in I._reductions, as the fiber cone is in I._fiber:
+    every fast path and type index reads one search.  A SearchExhausted is
+    not kept."""
+    memo = I._reductions = I._reductions or {}
+    if (seed, retries) not in memo:
+        memo[seed, retries] = _search_reduction(I, seed, retries)
+    return memo[seed, retries]
+
+
+def _search_reduction(I, seed, retries):
     """Search for a reduction generated by analytic-spread many elements.
 
     For a homogeneous I each generator is drawn from a graded piece of I,

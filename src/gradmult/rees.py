@@ -2,10 +2,11 @@
 
 multi_rees presents (R/base)[I_1 t_1, .., I_r t_r] as k[x, T]/L, T_kj ->
 g_kj t_k, in a weight order that compares w = sum deg(g_kj) beta_kj on
-x^alpha T^beta first.  It serves rees_presentation (the Rees oracle and the
-fiber cone of reductions._fiber_cone), the weak-FC check (reductions._ReesFc1),
-the Bhattacharya table (mixed_rees) and the Samuel oracle's gr_q(S)
-(multiplicity.samuel_oracle).
+x^alpha T^beta first.  It serves the weak-FC check (reductions._ReesFc1),
+the Samuel oracle's gr_q(S) (multiplicity.samuel_oracle) and, with one block
+per ideal over its minimal basis, the Bhattacharya table of any number of
+ideals (mixed_rees); for one ideal that block is rees_presentation, which the
+Rees oracle, the fiber cone (reductions._fiber_cone) and the table share.
 
 Counting.  For homogeneous base and g_kj, L is homogeneous for the degree
 t = |alpha| + w and the block degrees, and its piece of block degree n is

@@ -13,7 +13,7 @@ from collections import namedtuple
 
 from .algebra import make_algebra, minimal_basis
 from .degseq import degree_sequence, initial_ideal, verify_initial_transfer
-from .errors import FitMismatch, HypothesisFail, Inconclusive, KernelError
+from .errors import FitMismatch, HypothesisFail, Inconclusive, KernelError, SearchExhausted
 from .groebner import INFINITE
 from .mixed_rees import (
     bhattacharya_oracle,
@@ -162,7 +162,7 @@ def _capture(out, values, witnesses, slot, fn, *args, **kwargs):
     aborting the command, so the other route still reports."""
     try:
         res = fn(*args, **kwargs)
-    except (HypothesisFail, FitMismatch, Inconclusive) as exc:
+    except (HypothesisFail, FitMismatch, Inconclusive, SearchExhausted) as exc:
         values[slot] = exc.code
         witnesses[slot] = exc.payload()
         out.append(exc.code)
@@ -331,16 +331,13 @@ def _cmd_mixed(session, command):
         fast = {}
         failures = []
         comparisons = []
-        degseq = None
         for i in range(d):
+            # every type index reads the one search kept on the ideal
             res = _capture(
-                failures, fast, witnesses, f"fastpath[{i}]",
-                mixed_fastpath, ideal, degseq=degseq, i=i, seed=seed,
+                failures, fast, witnesses, f"fastpath[{i}]", mixed_fastpath, ideal, i=i, seed=seed
             )
             if res is None:
                 break
-            # one minimal reduction serves every type index
-            degseq = degseq or res.witness.get("degree_sequence")
             fast[str(i)] = res.value
             if table.q == d:
                 comparisons.append(res.value == table.entry_for_type(i))

@@ -11,9 +11,19 @@ formed per column as a product of ideal powers.
 
 import itertools
 
-from gradmult import AlgIdeal
+from gradmult import AlgIdeal, Polynomial
 from gradmult.groebner import PolyIdeal
 from gradmult.hilbert import hilbert_data
+
+
+def homogeneous_components(f):
+    """dict degree -> homogeneous part of the polynomial f; empty for 0.
+    Nothing in the package splits a polynomial by degree, so this lives
+    with the reference that does."""
+    parts = {}
+    for e, c in f.coeffs.items():
+        parts.setdefault(sum(e), {})[e] = c
+    return {d: Polynomial(f.ring, p) for d, p in sorted(parts.items())}
 
 
 def _length_between(cap, inner_lift, outer_lift):
@@ -66,7 +76,7 @@ def series_layer_lengths(algebra, K, n0s):
     """
     parts = {}
     for g in K.gens:
-        for d, part in g.rep.homogeneous_components().items():
+        for d, part in homogeneous_components(g.rep).items():
             parts.setdefault(d, []).append(part)
     lengths = dict.fromkeys(n0s, 0)
     L = algebra.defining

@@ -24,6 +24,13 @@ ring S vars [X, Y] field qq relations [X*Y, X^2];
 elem u = X + Y^2;
 """
 
+# (xy, y^2, x^3) has the reduction (xy, y^2 + x^3), whose generators mix
+# degrees: the search, drawing from one graded piece per generator, exhausts
+EXHAUSTED = """\
+ring S vars [x, y] field qq relations [];
+ideal I = [x*y, y^2, x^3];
+"""
+
 COMMANDS = {
     "samuel": "cmd samuel a b mode={mode};",
     "samuel_domain": "cmd samuel_domain I I domain=asserted mode={mode};",
@@ -79,6 +86,7 @@ def test_slots_follow_the_mode(op, mode):
 REFUSALS = {
     "samuel": (NONDOMAIN + "cmd samuel u mode={mode};", "HYPOTHESIS-FAIL", 2),
     "rees_mult": (PLANE + "cmd rees_mult N mode={mode};", "HYPOTHESIS-FAIL", 2),
+    "rees_mult-exhausted": (EXHAUSTED + "cmd rees_mult I mode={mode};", "SEARCH-EXHAUSTED", 3),
     "samuel_domain": (
         PLANE + "cmd samuel_domain I M domain=asserted mode={mode};", "INCONCLUSIVE", 3,
     ),
@@ -105,19 +113,30 @@ def test_fastpath_refusal_lands_in_its_slot(op, mode):
         assert rc == alone_rc
 
 
+def test_exhausted_search_lands_in_the_first_mixed_slot():
+    # the table still reports; the refusal never counts as agreement
+    rep, rc = run_one(EXHAUSTED + "cmd mixed I mode=both;")
+    assert rep["status"] == "ok"
+    assert rep["values"]["table"] == {"1,0": 1, "0,1": 2}
+    assert rep["values"]["fastpath"] == {"fastpath[0]": "SEARCH-EXHAUSTED"}
+    assert rep["witnesses"]["fastpath[0]"]["code"] == "SEARCH-EXHAUSTED"
+    assert rep["agree"] is False
+    assert rc == 2
+
+
 def test_mixed_both_finds_one_minimal_reduction(monkeypatch):
-    # every type index reads the degree sequence of the first fast path's
-    # reduction, so the search runs once, not once per index
-    from gradmult import mixed_rees
+    # every type index reads the search kept on the ideal, so it runs
+    # once, not once per index
+    from gradmult import reductions
 
     calls = []
-    search = mixed_rees.find_minimal_reduction
+    search = reductions._search_reduction
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return search(*args, **kwargs)
+        return search(*args)
 
-    monkeypatch.setattr(mixed_rees, "find_minimal_reduction", counted)
+    monkeypatch.setattr(reductions, "_search_reduction", counted)
     rep, rc = run_one(
         "ring S vars [x,y,z] field fp(32003) relations [];\n"
         "ideal I = [x^2, y^2, z^2, x*y, y*z];\n"

@@ -7,6 +7,7 @@ from gradmult import (
     FitMismatch,
     HypothesisFail,
     PolyIdeal,
+    QQ,
     PrimeField,
     bhattacharya_oracle,
     build_fc_sequence,
@@ -19,7 +20,7 @@ from gradmult import (
     rees_multiplicity,
     rees_presentation,
 )
-from gradmult import degseq, groebner
+from gradmult import degseq, groebner, mixed_rees, reductions
 from gradmult.mixed_rees import rees_multiplicity_fastpath, rees_multiplicity_oracle
 from gradmult.reports import run_script
 from gradmult.script import parse_script
@@ -94,7 +95,7 @@ def test_rees_oracle_non_homogeneous_presentation(monkeypatch):
 def test_rees_fastpath_values(kxy, hyper):
     x, y = kxy.gens()
     m2 = AlgIdeal(kxy, [x, y]).power(2)
-    res = rees_multiplicity_fastpath(m2, degseq=(2, 2))
+    res = rees_multiplicity_fastpath(m2)
     assert res.value == 3
     assert res.witness["degree_sequence"] == [2, 2]
     assert res.witness["height"] == 2
@@ -110,8 +111,6 @@ def test_rees_fastpath_hypotheses(kxy, nondomain):
         rees_multiplicity_fastpath(AlgIdeal(nondomain, [X + Y * Y]))
     with pytest.raises(HypothesisFail):
         rees_multiplicity_fastpath(AlgIdeal(kxy, [x * x, x * y]))
-    with pytest.raises(ValueError):
-        rees_multiplicity_fastpath(AlgIdeal(kxy, [x, y]), degseq=(1, 1, 1))
 
 
 def test_rees_modes(kxy):
@@ -153,11 +152,26 @@ def test_bhattacharya_two_ideals(kxy):
     assert table.entries == {(1, 0, 0): 1, (0, 1, 0): 0, (0, 0, 1): 0}
 
 
+def merged(table):
+    """The entries of a table whose last ideal is m, merged into the first
+    slot: m^(n0) K m^(n_s) = m^(n0 + n_s) K, so h_s(n0, .., n_s) =
+    h_(s-1)(n0 + n_s, ..), and the top coefficients give
+    e_s(k0, .., k_s) = e_(s-1)(k0 + k_s, ..)."""
+    return {(k[0] + k[-1], *k[1:-1]): v for k, v in table.entries.items()}
+
+
 def test_bhattacharya_guards(kxy, nondomain):
     x, y = kxy.gens()
     m = AlgIdeal(kxy, [x, y])
     with pytest.raises(ValueError):
-        bhattacharya_oracle([m, m, m])
+        bhattacharya_oracle([])
+    # any number of ideals: three copies of m merge into two
+    ranges = {"n0_range": (2, 4), "n_ranges": ((2, 4),) * 3}
+    three = bhattacharya_oracle([m, m, m], **ranges)
+    two = bhattacharya_oracle([m, m], n0_range=(2, 4), n_ranges=((2, 4),) * 2)
+    assert three.q == two.q == 2
+    assert all(two.entries[k] == v for k, v in merged(three).items())
+    assert set(merged(three)) == set(two.entries)
     with pytest.raises(ValueError):
         bhattacharya_oracle([AlgIdeal(kxy, [x + y * y])])
     with pytest.raises(ValueError):
@@ -165,6 +179,19 @@ def test_bhattacharya_guards(kxy, nondomain):
     X, Y = nondomain.gens()
     with pytest.raises(ValueError):
         bhattacharya_oracle([AlgIdeal(nondomain, [X])])
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), QQ], ids=repr)
+def test_bhattacharya_merges_the_irrelevant_ideal(field):
+    # a third ideal m adds its exponent to that of m in the first slot
+    S = make_algebra(poly_ring(("x", "y"), field))
+    x, y = S.gens()
+    pair = [AlgIdeal(S, [x * x, y * y]), AlgIdeal(S, [x, y**3])]
+    three = bhattacharya_oracle(pair + [AlgIdeal(S, [x, y])], n_ranges=((2, 5),) * 3)
+    two = bhattacharya_oracle(pair)
+    assert three.entries == {(1, 0, 0, 0): 1, (0, 1, 0, 0): 2, (0, 0, 1, 0): 1, (0, 0, 0, 1): 1}
+    assert two.entries == {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 1}
+    assert all(two.entries[k] == v for k, v in merged(three).items())
 
 
 def test_bhattacharya_rejects_bad_windows(kxy):
@@ -186,11 +213,19 @@ def test_bhattacharya_rejects_bad_windows(kxy):
         )
 
 
-def test_bhattacharya_one_point_axis_is_a_fit_failure(kxy):
+def test_bhattacharya_one_point_axis_is_a_fit_failure(kxy, monkeypatch):
     # a valid window too thin to fit is a refuted fit, not bad input
     x, y = kxy.gens()
+    m = AlgIdeal(kxy, [x, y])
     with pytest.raises(FitMismatch, match="no invertible fit system"):
-        bhattacharya_oracle([AlgIdeal(kxy, [x, y])], n_ranges=((3, 3),))
+        bhattacharya_oracle([m], n_ranges=((3, 3),))
+    # values no linear polynomial fits put a pivot in the value column first
+    def squares(ideals, n0s, axes):
+        return {(3,): {a: a * a for a in n0s}}
+
+    monkeypatch.setattr(mixed_rees, "_bhattacharya_columns", squares)
+    with pytest.raises(FitMismatch, match="no invertible fit system"):
+        bhattacharya_oracle([m], n_ranges=((3, 3),))
 
 
 def test_mixed_fastpath_values(kxy):
@@ -239,6 +274,23 @@ def test_mixed_via_fc_quotient_guards(kxy):
         mixed_via_fc_quotient(m2, fc.elements)
     with pytest.raises(ValueError):
         mixed_via_fc_quotient(m2, [y])
+
+
+def test_mixed_via_fc_quotient_builds_no_fiber_cone(monkeypatch):
+    # the height check reads the codimension of I: no Rees presentation
+    calls = []
+    real = reductions.rees_presentation
+
+    def counted(I):
+        calls.append(I)
+        return real(I)
+
+    monkeypatch.setattr(reductions, "rees_presentation", counted)
+    S = make_algebra(poly_ring(("x", "y", "z", "w"), PrimeField(32003)))
+    x, y, z, w = S.gens()
+    report = mixed_via_fc_quotient(AlgIdeal(S, [x, y, z, w]), [x + y * y])
+    assert report.value == 1
+    assert calls == []
 
 
 def test_invariance_same_closure_pair(kxy):
@@ -292,9 +344,13 @@ def test_fast_paths_read_the_search_degrees(monkeypatch):
     assert values[3]["degree_sequence_lhs"] == values[3]["degree_sequence_rhs"] == [2, 2, 2]
 
 
-def test_mixed_builds_one_rees_algebra(monkeypatch):
+@pytest.mark.parametrize("gens", [
+    "x^2, y^2, z^2, x*y, y*z", "x^2 + y^2, y^2, z^2, x*y, y*z", "2*x^2, y^2, z^2, x*y, y*z",
+])
+def test_mixed_builds_one_rees_algebra(monkeypatch, gens):
     # the Bhattacharya table and the fiber cone of the minimal reduction
-    # search present S[I t] over one generating set: one basis between them
+    # search present S[I t] over the minimal basis of I, however I is
+    # given: one basis between them
     real = groebner._reduced_basis
     rees_builds = []
 
@@ -307,10 +363,11 @@ def test_mixed_builds_one_rees_algebra(monkeypatch):
     monkeypatch.setattr(groebner, "_reduced_basis", counted)
     doc, rc = run_script(parse_script(
         "ring S vars [x,y,z] field fp(32003) relations [];\n"
-        "ideal I = [x^2, y^2, z^2, x*y, y*z];\ncmd mixed I mode=both;\n"
+        f"ideal I = [{gens}];\ncmd mixed I mode=both;\n"
     ))
     assert rc == 0
     assert doc["reports"][0]["agree"] is True
+    assert doc["reports"][0]["values"]["table"] == {"0,2": 4, "1,1": 2, "2,0": 1}
     assert rees_builds == [("x", "y", "z", "T1", "T2", "T3", "T4", "T5", "t")]
 
 
