@@ -43,7 +43,6 @@ from .multiplicity import (
     samuel_oracle,
 )
 from .polynomials import Polynomial, PolyRing, poly_ring
-from .rees import ReesPresentation
 from .reductions import (
     analytic_spread,
     build_fc_sequence,
@@ -76,7 +75,6 @@ __all__ = [
     "PrimeField",
     "QQ",
     "RationalField",
-    "ReesPresentation",
     "SamuelResult",
     "SearchExhausted",
     "analytic_spread",

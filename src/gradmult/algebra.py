@@ -167,12 +167,12 @@ class AlgElement:
 
 
 class AlgIdeal:
-    """Ideal of a graded algebra, with its polynomial-ring lift cached (and its
-    powers, kept by groebner.memo_power, its product mI with the irrelevant
-    ideal, its fiber cone, built by reductions._fiber_cone off
-    rees.rees_presentation, and its reductions.find_minimal_reduction)."""
+    """Ideal of a graded algebra, keeping once built its polynomial-ring lift,
+    its powers (groebner.memo_power), its product mI with the irrelevant
+    ideal, its Rees presentation (rees.rees_presentation), the fiber cone read
+    off it (reductions._fiber_cone) and its minimal-reduction searches."""
 
-    __slots__ = ("algebra", "gens", "_lift", "_powers", "_mi", "_fiber", "_reductions")
+    __slots__ = ("algebra", "gens", "_lift", "_powers", "_mi", "_rees", "_fiber", "_reductions")
 
     def __init__(self, algebra, items):
         self.algebra = algebra
@@ -190,6 +190,7 @@ class AlgIdeal:
         self._lift = None
         self._powers = None
         self._mi = None
+        self._rees = None
         self._fiber = None
         self._reductions = None
 

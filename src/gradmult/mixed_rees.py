@@ -6,8 +6,8 @@ length of the grid, K running over the products of powers of any number of
 ideals, counts standard monomials of one multi-Rees presentation
 S[I_1 t_1, .., I_s t_s] over their minimal bases (rees.multi_rees), with no
 power of an ideal and no product formed.  The Rees multiplicity comes from
-the (x, T)-adic colengths of rees.rees_presentation, the presentation a
-table of one ideal reads, off the Hilbert function of its tangent cone at
+the (x, T)-adic colengths of the Rees presentation kept on the ideal
+(rees.rees_presentation), off the Hilbert function of its tangent cone at
 the origin (one Lazard standard basis for every length).  Fast paths are
 the degree-sequence product formulas on the minimal reduction of the one
 search per ideal (reductions.find_minimal_reduction); the two sides are
@@ -40,16 +40,16 @@ from .scalars import QQ
 def rees_multiplicity_oracle(I, window=None):
     """Multiplicity of the (x, T)-adic filtration on the presentation quotient.
 
-    L_k = dim_k k[x, T]/(rees + (x, T)^k), the partial sums below k of the
-    Hilbert function of the presentation's tangent cone at the origin; a
-    standard graded presentation is its own tangent cone.  The witness route
-    is "series" for a homogeneous presentation and "direct" otherwise.
+    L_k = dim_k k[x, T]/(L + (x, T)^k), L the Rees ideal kept on I, the
+    partial sums below k of the Hilbert function of the presentation's
+    tangent cone at the origin; a standard graded presentation is its own
+    tangent cone.  The witness route is "series" for a homogeneous
+    presentation and "direct" otherwise.
     """
-    pres = rees_presentation(I)
-    D = pres.dim
+    rees = rees_presentation(I).ideal
+    D = rees.krull_dimension()
     if D < 1:
         raise ValueError("Rees quotient is Artinian; adic multiplicity undefined")
-    rees = pres.rees_ideal
     result = windowed_oracle(D, window, 1, adic_lengths(rees))
     result.witness["presentation_dim"] = D
     result.witness["route"] = "series" if rees.is_homogeneous() else "direct"
@@ -151,8 +151,8 @@ def _bhattacharya_columns(ideals, n0s, axes):
 
     Block k of S[I_1 t_1, .., I_s t_s] (rees.multi_rees) is the minimal
     basis of the graded I_k, whose members are homogeneous; for one ideal
-    that is the presentation of rees.rees_presentation, one basis for the
-    fiber cone, the Rees oracle and the table.  By the counting argument
+    that is the input of rees.rees_presentation, so the builder's bases are
+    memo hits of the presentation kept on I.  By the counting argument
     of the rees module the layer has length the number of standard monomials
     of block degree ns and x-degree exactly a (BlockSeries.layer); ns = 0
     gives K = S.

@@ -9,7 +9,7 @@ l(S/q^n) off one basis of the associated graded ring gr_q(S).
 from collections import namedtuple
 
 from .algebra import AlgIdeal
-from .degseq import degree_sequence
+from .degseq import initial_ideal
 from .errors import HypothesisFail, Inconclusive, NoStabilization
 from .groebner import INFINITE, PolyIdeal
 from .hilbert import BlockSeries, hilbert_data
@@ -100,7 +100,7 @@ def _associated_graded(q):
     ring = rees.ideal.ring
     lifted = tuple(map_vars(g, ring, range(n)) for g in gens)
     graded = PolyIdeal(ring, rees.ideal.groebner() + lifted)
-    return BlockSeries(graded.leading_monomials(), n, rees.blocks)
+    return BlockSeries(graded.leading_monomials(), n, rees.degrees)
 
 
 def samuel_oracle(q, window=None):
@@ -132,6 +132,18 @@ def samuel_oracle(q, window=None):
     return windowed_oracle(q.algebra.dim, window, 0, length)
 
 
+def _require_initial_sop(init, orders):
+    """Raise HypothesisFail unless the initial forms generating init, of the
+    given orders, are a system of parameters: S/init has dimension 0."""
+    init_dim = init.lift.krull_dimension()
+    if init_dim != 0:
+        raise HypothesisFail(
+            "initial forms are not a system of parameters",
+            initial_quotient_dim=init_dim,
+            orders=orders,
+        )
+
+
 def samuel_fastpath_general(xs):
     """e((x_1..x_d); S) = o(x_1)...o(x_d) e(S) when the initial forms are a sop.
 
@@ -148,15 +160,8 @@ def samuel_fastpath_general(xs):
     q = algebra.ideal(xs)
     if q.lift.k_dimension() is INFINITE:
         raise ValueError("the given elements are not a system of parameters")
-    init = algebra.ideal([x.initial_form for x in xs])
-    init_dim = init.lift.krull_dimension()
-    if init_dim != 0:
-        raise HypothesisFail(
-            "initial forms are not a system of parameters",
-            initial_quotient_dim=init_dim,
-            orders=[x.order for x in xs],
-        )
     orders = [x.order for x in xs]
+    _require_initial_sop(algebra.ideal([x.initial_form for x in xs]), orders)
     value = algebra.mult
     for o in orders:
         value *= o
@@ -172,7 +177,18 @@ def samuel_fastpath_domain(I, J, domain_asserted=False):
     """e(I; S) = c_1...c_d e(S) from the degree sequence of a minimal reduction J.
 
     Valid when S is a domain, which cannot be checked here: the caller must
-    assert it.  J is re-verified as a d-generated reduction of I.
+    assert it.  J is re-verified as a d-generated reduction of I, and the
+    initial forms of its adjusted minimal basis f_1..f_d (degseq.initial_ideal,
+    of orders c_1..c_d) must be a system of parameters, the hypothesis of
+    samuel_fastpath_general (Thm 2.10), checked the same way.
+
+    The argument.  A reduction has the multiplicity of the ideal it reduces,
+    so e(I) = e(J).  J is m-primary with I and d-generated, so f_1..f_d is a
+    system of parameters; when their initial forms are one too, Thm 2.10
+    gives e(J) = o(f_1)..o(f_d) e(S) = c_1..c_d e(S).  Without that the
+    product can be wrong in a domain: in k[x, y], J = (xy, y^2 + x^3) has
+    degree sequence [2, 2] but e(J) = 2 + 3 = 5, as the initial forms xy,
+    y^2 share the line y = 0.  Such a J raises HypothesisFail.
     """
     if not domain_asserted:
         raise ValueError("this fast path needs the caller to assert S is a domain")
@@ -183,9 +199,11 @@ def samuel_fastpath_domain(I, J, domain_asserted=False):
     cert = is_reduction(J, I)
     if cert.verdict != "REDUCTION":
         raise Inconclusive("could not certify J as a reduction of I")
-    seq = degree_sequence(J)
+    init, basis = initial_ideal(J)
+    seq = sorted(b.order for b in basis)
     if len(seq) != d:
         raise ValueError(f"J must be generated by dim S = {d} elements, got {len(seq)}")
+    _require_initial_sop(init, seq)
     value = algebra.mult
     for c in seq:
         value *= c
@@ -194,7 +212,7 @@ def samuel_fastpath_domain(I, J, domain_asserted=False):
         "fastpath-thm-2.8",
         None,
         {
-            "degree_sequence": list(seq),
+            "degree_sequence": seq,
             "ring_multiplicity": algebra.mult,
             "reduction_witness": cert.n_witness,
         },

@@ -26,7 +26,7 @@ import itertools
 import random
 from collections import Counter, namedtuple
 
-from .algebra import AlgIdeal, minimal_basis
+from .algebra import AlgElement, AlgIdeal, minimal_basis
 from .degseq import degree_sequence
 from .errors import SearchExhausted
 from .groebner import PolyIdeal
@@ -132,21 +132,23 @@ def _fiber_cone(I):
     reduction search asks for the spread and then certifies every candidate
     against the same I.
 
-    F(I) is R/mR for the Rees algebra R = k[x, T]/L (rees.rees_presentation),
-    and k[x, T]/(L + (x)) is k[T] modulo the images of the generators of L
-    with every x set to 0.
+    F(I) is R/mR for the Rees algebra R = k[x, T]/L of the presentation kept
+    on I (rees.rees_presentation), and k[x, T]/(L + (x)) is k[T] modulo the
+    images of the generators of L with every x set to 0.  The g_i are the
+    minimal basis that presentation was built over, its one block.
     """
     if I._fiber is None:
-        pres = rees_presentation(I)
-        n = pres.base_vars
-        ring = PolyRing(pres.t_names, pres.ambient.field)
+        rees = rees_presentation(I)
+        n, ambient = rees.n, rees.ideal.ring
+        ring = PolyRing(ambient.names[n:], ambient.field)
         phi = PolyIdeal(ring, tuple(
             Polynomial(ring, {e[n:]: c for e, c in g.coeffs.items() if not any(e[:n])})
-            for g in pres.rees_ideal.gens
+            for g in rees.ideal.gens
         ))
         mi = I.times_irrelevant().lift
-        images = [mi.normal_form(g.rep).coeffs for g in pres.generators]
-        I._fiber = _FiberCone(pres.generators, phi, mi, images)
+        (gens,) = rees.blocks
+        images = [mi.normal_form(g).coeffs for g in gens]
+        I._fiber = _FiberCone([AlgElement(I.algebra, g) for g in gens], phi, mi, images)
     return I._fiber
 
 
@@ -218,7 +220,11 @@ def _search_reduction(I, seed, retries):
 
     def try_candidate(gens):
         J = AlgIdeal(algebra, gens)
-        if J.is_zero() or not J.is_proper():
+        # J lies in I, and I is proper: analytic_spread(I) above read a Rees
+        # presentation, which refuses a unit ideal.  So J is proper, and no
+        # basis of J is built to check it.  A zero J, every draw vanishing,
+        # is no reduction of the nonzero I.
+        if J.is_zero():
             return None
         forms = _fiber_forms(fiber, J.gens)
         echelon = {}

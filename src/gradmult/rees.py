@@ -5,8 +5,8 @@ g_kj t_k, in a weight order that compares w = sum deg(g_kj) beta_kj on
 x^alpha T^beta first.  It serves the weak-FC check (reductions._ReesFc1),
 the Samuel oracle's gr_q(S) (multiplicity.samuel_oracle) and, with one block
 per ideal over its minimal basis, the Bhattacharya table of any number of
-ideals (mixed_rees); for one ideal that block is rees_presentation, which the
-Rees oracle, the fiber cone (reductions._fiber_cone) and the table share.
+ideals (mixed_rees); rees_presentation keeps S[I t], one block, on I for the
+Rees oracle and the fiber cone (reductions._fiber_cone).
 
 Counting.  For homogeneous base and g_kj, L is homogeneous for the degree
 t = |alpha| + w and the block degrees, and its piece of block degree n is
@@ -29,13 +29,17 @@ from .polynomials import Polynomial, PolyRing, map_vars
 
 class MultiRees(namedtuple("MultiRees", "ideal n blocks")):
     """L = ideal in k[x, T], its reduced basis in the weight order known; the
-    x's are the first n variables; blocks[k] lists the degrees deg g_kj of
-    block k."""
+    x's are the first n variables, then the T's of each block in turn;
+    blocks[k] lists the generators g_kj of block k, in R."""
 
     __slots__ = ()
 
+    @property
+    def degrees(self):
+        return tuple(tuple(g.degree() for g in gens) for gens in self.blocks)
+
     def series(self):
-        return BlockSeries(self.ideal.leading_monomials(), self.n, self.blocks)
+        return BlockSeries(self.ideal.leading_monomials(), self.n, self.degrees)
 
 
 def multi_rees(base, blocks):
@@ -46,20 +50,18 @@ def multi_rees(base, blocks):
     A[I_k t_k] inside A[t_k] is presented by (L' + (T_kj - g_kj t_k)) cap
     k[x, T]: one basis in an order that eliminates the t's and then is the
     weight order.  Its members free of the t's are the reduced basis of the
-    new L in the weight order.  A lone block's variables are T1..Ts, those
-    of block k of several Tk_1..; fresh names dodge those of R.
+    new L in the weight order.  Block k's variables are Tk_1.. and tk;
+    fresh names dodge those of R.
     """
     ring, n = base.ring, base.ring.n
     names = list(ring.names)
-    single = len(blocks) == 1
-    stems = [f"T{j + 1}" if single else f"T{k + 1}_{j + 1}"
-             for k, gens in enumerate(blocks) for j in range(len(gens))]
+    blocks = tuple(tuple(gens) for gens in blocks)
+    stems = [f"T{k + 1}_{j + 1}" for k, gens in enumerate(blocks) for j in range(len(gens))]
     width = n + len(stems)
-    stems += ["t" if single else f"t{k + 1}" for k in range(len(blocks))]
+    stems += [f"t{k + 1}" for k in range(len(blocks))]
     for stem in stems:
         names.append(_fresh_name(set(names), stem))
-    degrees = tuple(tuple(g.degree() for g in gens) for gens in blocks)
-    weights = [0] * n + [w for ws in degrees for w in ws]
+    weights = [0] * n + [g.degree() for gens in blocks for g in gens]
     order = MonomialOrder.weighted(len(names), weights + [0] * len(blocks), range(width, len(names)))
     ering = PolyRing(names, ring.field, order)
     pos = tuple(range(n))
@@ -73,28 +75,23 @@ def multi_rees(base, blocks):
         kernel = [g for g in buchberger(list(kernel) + new) if not any(g.leading_monomial()[width:])]
     pring = PolyRing(names[:width], ring.field, MonomialOrder.weighted(width, weights))
     basis = [Polynomial(pring, {e[:width]: c for e, c in g.coeffs.items()}) for g in kernel]
-    return MultiRees(PolyIdeal.from_basis(pring, basis), n, degrees)
-
-
-class ReesPresentation(namedtuple(
-    "ReesPresentation", "ambient rees_ideal base_vars t_names generators dim"
-)):
-    __slots__ = ()
+    return MultiRees(PolyIdeal.from_basis(pring, basis), n, blocks)
 
 
 def rees_presentation(I):
-    """The Rees algebra S[I t] = k[x, T]/L, T_j -> g_j t over the minimal
-    generators g_j of I: one block of multi_rees over P."""
-    algebra = I.algebra
-    if I.is_zero() or not I.is_proper():
-        raise ValueError("Rees presentation needs a nonzero proper ideal")
-    gens = minimal_basis(I)
-    rees = multi_rees(algebra.defining, [[g.rep for g in gens]]).ideal
-    dim = rees.krull_dimension()
-    height = algebra.dim - I.lift.krull_dimension()
-    if height > 0 and dim != algebra.dim + 1:
-        raise ArithmeticError(
-            f"positive-height ideal gave Rees dimension {dim}, expected {algebra.dim + 1}"
-        )
-    n = algebra.ring.n
-    return ReesPresentation(rees.ring, rees, n, rees.ring.names[n:], gens, dim)
+    """The Rees algebra S[I t] = k[x, T]/L, T1_j -> g_j t1 over the minimal
+    generators g_j of I: one block of multi_rees over P, built and its
+    dimension checked once, then kept in I._rees."""
+    if I._rees is None:
+        algebra = I.algebra
+        if I.is_zero() or not I.is_proper():
+            raise ValueError("Rees presentation needs a nonzero proper ideal")
+        rees = multi_rees(algebra.defining, [[g.rep for g in minimal_basis(I)]])
+        dim = rees.ideal.krull_dimension()
+        height = algebra.dim - I.lift.krull_dimension()
+        if height > 0 and dim != algebra.dim + 1:
+            raise ArithmeticError(
+                f"positive-height ideal gave Rees dimension {dim}, expected {algebra.dim + 1}"
+            )
+        I._rees = rees
+    return I._rees

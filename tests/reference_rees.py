@@ -1,7 +1,7 @@
 """The Rees presentation that `rees.rees_presentation` replaced, kept as the
-reference: t eliminated from (P, T_j - g_j t) in k[x, T, t] by one basis in
-a block order, over the minimal generators g_j, with the Rees ideal in
-degrevlex."""
+reference: t1 eliminated from (P, T1_j - g_j t1) in k[x, T, t1] by one
+basis in a block order, over the minimal generators g_j, with the Rees ideal
+in degrevlex."""
 
 from gradmult.algebra import minimal_basis
 from gradmult.groebner import PolyIdeal, _fresh_name, eliminate_into
@@ -17,8 +17,8 @@ def reference_rees_presentation(I):
     names = list(algebra.ring.names)
     t_names = []
     for j in range(s):
-        t_names.append(_fresh_name(set(names) | set(t_names), f"T{j + 1}"))
-    tvar = _fresh_name(set(names) | set(t_names), "t")
+        t_names.append(_fresh_name(set(names) | set(t_names), f"T1_{j + 1}"))
+    tvar = _fresh_name(set(names) | set(t_names), "t1")
     n = algebra.ring.n
     total = n + s + 1
     pring = PolyRing(tuple(names) + tuple(t_names), algebra.ring.field)

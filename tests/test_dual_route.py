@@ -31,6 +31,15 @@ ring S vars [x, y] field qq relations [];
 ideal I = [x*y, y^2, x^3];
 """
 
+# Thm 2.8 on a domain where the initial forms of the reduction's adjusted
+# basis (x^2, xy and xy, y^2) are no system of parameters: its product 4
+# would disagree with the oracle's 5, so the fast path refuses
+THM28_NO_SOP = """\
+ring S vars [x, y] field qq relations [];
+ideal I = [x^2 + y^3, x*y];
+ideal J = [x*y, y^2 + x^3];
+"""
+
 COMMANDS = {
     "samuel": "cmd samuel a b mode={mode};",
     "samuel_domain": "cmd samuel_domain I I domain=asserted mode={mode};",
@@ -89,6 +98,12 @@ REFUSALS = {
     "rees_mult-exhausted": (EXHAUSTED + "cmd rees_mult I mode={mode};", "SEARCH-EXHAUSTED", 3),
     "samuel_domain": (
         PLANE + "cmd samuel_domain I M domain=asserted mode={mode};", "INCONCLUSIVE", 3,
+    ),
+    "samuel_domain-no-sop-I": (
+        THM28_NO_SOP + "cmd samuel_domain I I domain=asserted mode={mode};", "HYPOTHESIS-FAIL", 2,
+    ),
+    "samuel_domain-no-sop-J": (
+        THM28_NO_SOP + "cmd samuel_domain J J domain=asserted mode={mode};", "HYPOTHESIS-FAIL", 2,
     ),
 }
 

@@ -1,5 +1,7 @@
 """Rees presentations, Rees and mixed multiplicities, invariance of closures."""
 
+import importlib.resources
+
 import pytest
 
 from gradmult import (
@@ -20,7 +22,7 @@ from gradmult import (
     rees_multiplicity,
     rees_presentation,
 )
-from gradmult import degseq, groebner, mixed_rees, reductions
+from gradmult import degseq, groebner, mixed_rees, multiplicity, reductions, reports, rees
 from gradmult.mixed_rees import rees_multiplicity_fastpath, rees_multiplicity_oracle
 from gradmult.reports import run_script
 from gradmult.script import parse_script
@@ -28,21 +30,24 @@ from gradmult.script import parse_script
 
 def test_rees_presentation_of_irrelevant(kxy):
     x, y = kxy.gens()
-    pres = rees_presentation(AlgIdeal(kxy, [x, y]))
-    assert pres.ambient.names == ("x", "y", "T1", "T2")
-    assert pres.base_vars == 2
-    assert pres.dim == 3
-    ring = pres.ambient
+    I = AlgIdeal(kxy, [x, y])
+    pres = rees_presentation(I)
+    assert rees_presentation(I) is pres
+    ring = pres.ideal.ring
+    assert ring.names == ("x", "y", "T1_1", "T1_2")
+    assert pres.n == 2
+    assert pres.blocks == ((x.rep, y.rep),)
+    assert pres.ideal.krull_dimension() == 3
     xv, yv, t1, t2 = (ring.var(i) for i in range(4))
     relation = xv * t2 - yv * t1
-    assert pres.rees_ideal.equals(PolyIdeal(ring, (relation,)))
+    assert pres.ideal.equals(PolyIdeal(ring, (relation,)))
 
 
 def test_rees_presentation_principal(kxy):
     x, y = kxy.gens()
     pres = rees_presentation(AlgIdeal(kxy, [x]))
-    assert pres.rees_ideal.is_zero()
-    assert pres.dim == 3
+    assert pres.ideal.is_zero()
+    assert pres.ideal.krull_dimension() == 3
 
 
 def test_rees_presentation_guards(kxy):
@@ -344,6 +349,63 @@ def test_fast_paths_read_the_search_degrees(monkeypatch):
     assert values[3]["degree_sequence_lhs"] == values[3]["degree_sequence_rhs"] == [2, 2, 2]
 
 
+# the scripts of bench/scripts, whose commands the heavy workload runs
+HEAVY_SCRIPTS = {
+    "heavy_fc": (
+        "ring H vars [x,y,z] field fp(32003) relations [y^2*z - x^3];\n"
+        "ideal M = [x, y, z];\nideal J = [y, x + z];\ncmd fc_seq J M;\n"
+    ),
+    "heavy_mixed": (
+        "ring S vars [x,y,z] field fp(32003) relations [];\n"
+        "ideal I = [x^2, y^2, z^2, x*y, y*z];\ncmd degseq I;\ncmd mixed I mode=both;\n"
+    ),
+    "heavy_rees": (
+        "ring S vars [x,y] field fp(32003) relations [];\n"
+        "ideal A = [x, y^3];\nideal B = [x^2, y^3];\n"
+        "cmd rees_mult A mode=both;\ncmd rees_mult B mode=both;\n"
+    ),
+}
+
+# rees.multi_rees calls per command, memo cleared.  A rees_mult command
+# builds one presentation, kept on its ideal, for the fiber cone and the
+# oracle; invariance builds one per ideal (I, E, I + E) and one per table.
+REES_BUILDS = {
+    "heavy_fc": [5],
+    "heavy_mixed": [0, 2],
+    "heavy_rees": [1, 1],
+    "counterexample": [0, 0, 1, 0],
+    "hyper": [0, 1, 1],
+    "invariance": [5],
+    "rees": [1, 1, 1, 1, 4],
+    "thm210": [1, 1, 0, 2],
+}
+
+
+@pytest.mark.parametrize("name", list(REES_BUILDS))
+def test_rees_presentations_per_command(monkeypatch, name):
+    if name in HEAVY_SCRIPTS:
+        text = HEAVY_SCRIPTS[name]
+    else:
+        text = importlib.resources.files("gradmult").joinpath("suite", f"{name}.gm").read_text()
+    counts = []
+    build, run = rees.multi_rees, reports.run_command
+
+    def counted(*args):
+        counts[-1] += 1
+        return build(*args)
+
+    def each(session, command):
+        counts.append(0)
+        return run(session, command)
+
+    for module in (rees, reductions, mixed_rees, multiplicity):
+        monkeypatch.setattr(module, "multi_rees", counted)
+    monkeypatch.setattr(reports, "run_command", each)
+    groebner._memo.clear()
+    run_script(parse_script(text))
+    assert counts == REES_BUILDS[name]
+
+
 @pytest.mark.parametrize("gens", [
     "x^2, y^2, z^2, x*y, y*z", "x^2 + y^2, y^2, z^2, x*y, y*z", "2*x^2, y^2, z^2, x*y, y*z",
 ])
@@ -355,7 +417,7 @@ def test_mixed_builds_one_rees_algebra(monkeypatch, gens):
     rees_builds = []
 
     def counted(polys):
-        if "t" in polys[0].ring.names:
+        if "t1" in polys[0].ring.names:
             rees_builds.append(polys[0].ring.names)
         return real(polys)
 
@@ -368,7 +430,7 @@ def test_mixed_builds_one_rees_algebra(monkeypatch, gens):
     assert rc == 0
     assert doc["reports"][0]["agree"] is True
     assert doc["reports"][0]["values"]["table"] == {"0,2": 4, "1,1": 2, "2,0": 1}
-    assert rees_builds == [("x", "y", "z", "T1", "T2", "T3", "T4", "T5", "t")]
+    assert rees_builds == [("x", "y", "z", "T1_1", "T1_2", "T1_3", "T1_4", "T1_5", "t1")]
 
 
 def test_bhattacharya_saturates_once_for_a_nested_pair(monkeypatch):

@@ -164,6 +164,13 @@ def test_fastpath_domain_guards(kxy):
         samuel_fastpath_domain(
             AlgIdeal(kxy, [x]), AlgIdeal(kxy, [x]), domain_asserted=True
         )
+    # a 2-generated reduction of degrees [2, 2], but e = 5: the initial
+    # forms xy, y^2 are no system of parameters
+    J = AlgIdeal(kxy, [x * y, y * y + x**3])
+    with pytest.raises(HypothesisFail) as exc:
+        samuel_fastpath_domain(J, J, domain_asserted=True)
+    assert exc.value.details == {"initial_quotient_dim": 1, "orders": [2, 2]}
+    assert samuel_oracle(J).value == 5
 
 
 def test_quotient_multiplicity_homogeneous(kxy, hyper):

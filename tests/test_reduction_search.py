@@ -31,6 +31,7 @@ from gradmult import (
     PrimeField,
     degree_sequence,
     find_minimal_reduction,
+    groebner,
     make_algebra,
     poly_ring,
     reductions,
@@ -129,6 +130,31 @@ def test_exhaustion_lists_the_skipped_multisets(name, multisets, monkeypatch):
         find_minimal_reduction(_ideal(name, PrimeField(32003)), retries=0)
     assert exc.value.details == {"spread": 2, "multisets": multisets, "retries": 0}
     assert calls == {"_fiber_forms": 0, "_fiber_certificate": 0, "is_reduction": 0}
+
+
+def test_candidates_get_no_basis(monkeypatch):
+    # a candidate lies in I, which is proper, so it is proper with no basis
+    # of its own: once I's fiber cone is kept, the search builds no basis in
+    # the ring of S, and it returns the reference's J
+    name, retries = "(x^2, y^2, z^2, xy, yz)", reductions.DEFAULT_RETRIES
+    want = _outcome(
+        reference_reductions.find_minimal_reduction, _ideal(name, PrimeField(32003)), 0, retries
+    )
+    I = _ideal(name, PrimeField(32003))
+    reductions.analytic_spread(I)
+    assert I.is_homogeneous()
+    built = []
+    real = groebner.buchberger
+
+    def counted(gens):
+        gens = tuple(gens)
+        if gens and gens[0].ring == I.algebra.ring:
+            built.append(gens)
+        return real(gens)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    assert _outcome(find_minimal_reduction, I, 0, retries) == want
+    assert built == []
 
 
 @pytest.mark.parametrize("name", NON_HOMOGENEOUS)

@@ -2,9 +2,9 @@
 elimination they replaced (`tests/reference_rees.py`).
 
 `rees.rees_presentation` is one block of `rees.multi_rees` over the minimal
-generators, its Rees ideal carrying the builder's basis in the weight
-order.  Over small and large prime fields and qq, in k[x,y], k[x,y,z], the
-cusp y^2 z - x^3 and the fat line k[X,Y]/(XY, X^2), for equigenerated
+generators, kept on the ideal, its Rees ideal carrying the builder's basis
+in the weight order.  Over small and large prime fields and qq, in k[x,y],
+k[x,y,z], the cusp y^2 z - x^3 and the fat line k[X,Y]/(XY, X^2), for equigenerated
 ideals (a homogeneous Rees ideal), mixed-degree ones and ideals that are not
 graded (a non-homogeneous one outside the fat line), it must give the reference's ideal, Krull
 dimension and fiber-cone relations, and the basis it carries must be the
@@ -14,6 +14,7 @@ reduced basis of its ideal.
 import pytest
 
 from gradmult import QQ, AlgIdeal, PolyIdeal, PrimeField, buchberger, make_algebra, poly_ring
+from gradmult.algebra import minimal_basis
 from gradmult.polynomials import Polynomial
 from gradmult.reductions import _fiber_cone
 from gradmult.rees import rees_presentation
@@ -57,12 +58,14 @@ def test_presentation_matches_reference(field, name):
     for gens in ideals(*algebra.gens()):
         I = AlgIdeal(algebra, gens)
         pres = rees_presentation(I)
+        assert rees_presentation(I) is pres
         ref_ring, ref_ideal, ref_dim = reference_rees_presentation(I)
-        assert pres.ambient.names == ref_ring.names
-        assert pres.t_names == ref_ring.names[ring.n:]
-        assert pres.dim == ref_dim
-        carried = pres.rees_ideal.groebner()
-        assert carried == buchberger(pres.rees_ideal.gens)
+        assert pres.ideal.ring.names == ref_ring.names
+        assert pres.n == ring.n
+        assert pres.blocks == (tuple(g.rep for g in minimal_basis(I)),)
+        assert pres.ideal.krull_dimension() == ref_dim
+        carried = pres.ideal.groebner()
+        assert carried == buchberger(pres.ideal.gens)
         moved = PolyIdeal(ref_ring, tuple(Polynomial(ref_ring, dict(g.coeffs)) for g in carried))
         assert moved.equals(ref_ideal), gens
         fiber = _fiber_cone(AlgIdeal(algebra, gens)).relations

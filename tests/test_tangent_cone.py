@@ -146,7 +146,7 @@ def test_rees_presentations(field):
     S = make_algebra(ring)
     x, y = S.gens()
     for gens in ([x, y**3], [x * x, y**3]):
-        rees = rees_presentation(AlgIdeal(S, gens)).rees_ideal
+        rees = rees_presentation(AlgIdeal(S, gens)).ideal
         assert not rees.is_homogeneous()
         assert_lengths_match(rees)
 
