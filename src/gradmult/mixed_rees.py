@@ -5,13 +5,14 @@ from layer lengths l(m^a K / m^(a+1) K) fitted by an exact polynomial.  Every
 length of the grid, K running over the products of powers of any number of
 ideals, counts standard monomials of one multi-Rees presentation
 S[I_1 t_1, .., I_s t_s] over their minimal bases (rees.multi_rees), with no
-power of an ideal and no product formed.  The Rees multiplicity comes from
-the (x, T)-adic colengths of the Rees presentation kept on the ideal
-(rees.rees_presentation), off the Hilbert function of its tangent cone at
-the origin (one Lazard standard basis for every length).  Fast paths are
-the degree-sequence product formulas on the minimal reduction of the one
-search per ideal (reductions.find_minimal_reduction); the two sides are
-never mixed.
+power of an ideal and no product formed; for one ideal that is the Rees
+presentation kept on it (rees.rees_presentation).  The Rees multiplicity
+comes from the (x, T)-adic colengths of that kept presentation, off the
+Hilbert function of its tangent cone at the origin (one Lazard standard
+basis for every length).  Fast paths are the degree-sequence product
+formulas on the minimal reduction of the one search per ideal
+(reductions.find_minimal_reduction); the two sides are never mixed.  The
+quotient route checks its elements by reductions.fc_chain.
 """
 
 import itertools
@@ -20,14 +21,12 @@ from math import factorial, prod
 
 from .algebra import AlgIdeal, minimal_basis
 from .errors import FitMismatch, HypothesisFail
-from .groebner import PolyIdeal
 from .linalg import rref_insert
 from .monomials import monomials_up_to
 from .multiplicity import SamuelResult, adic_lengths, quotient_multiplicity, windowed_oracle
 from .reductions import (
-    FcWindow,
     _fc2_saturation,
-    _fc_check_on_lift,
+    fc_chain,
     find_minimal_reduction,
     height_and_equimultiple,
     is_reduction,
@@ -150,15 +149,19 @@ def _bhattacharya_columns(ideals, n0s, axes):
     product of the axes, K = prod_k I_k^(ns_k), off one presentation.
 
     Block k of S[I_1 t_1, .., I_s t_s] (rees.multi_rees) is the minimal
-    basis of the graded I_k, whose members are homogeneous; for one ideal
-    that is the input of rees.rees_presentation, so the builder's bases are
-    memo hits of the presentation kept on I.  By the counting argument
-    of the rees module the layer has length the number of standard monomials
-    of block degree ns and x-degree exactly a (BlockSeries.layer); ns = 0
-    gives K = S.
+    basis of the graded I_k, whose members are homogeneous.  For one ideal
+    that is S[I t] itself, so the table reads the presentation kept on I
+    (rees.rees_presentation), and multi_rees builds one only for two or more
+    ideals.  By the counting argument of the rees module the layer has
+    length the number of standard monomials of block degree ns and x-degree
+    exactly a (BlockSeries.layer); ns = 0 gives K = S.
     """
-    blocks = [[g.rep for g in minimal_basis(I)] for I in ideals]
-    series = multi_rees(ideals[0].algebra.defining, blocks).series()
+    if len(ideals) == 1:
+        rees = rees_presentation(ideals[0])
+    else:
+        blocks = [[g.rep for g in minimal_basis(I)] for I in ideals]
+        rees = multi_rees(ideals[0].algebra.defining, blocks)
+    series = rees.series()
     return {ns: {a: series.layer(ns, a) for a in n0s} for ns in itertools.product(*axes)}
 
 
@@ -175,8 +178,6 @@ def bhattacharya_oracle(ideals, n0_range=(2, 5), n_ranges=None):
     dimension of R/(P : (I_1 .. I_s)^inf), one saturation per ideal that no
     other one lies inside (reductions._fc2_saturation).
     """
-    if isinstance(ideals, AlgIdeal):
-        ideals = [ideals]
     s = len(ideals)
     if not s:
         raise ValueError("need at least one ideal")
@@ -328,14 +329,7 @@ def mixed_via_fc_quotient(I, xs):
             quotient_dim=quot_dim,
             expected=d - t,
         )
-    m = algebra.irrelevant_ideal()
-    gen_lists = [[g.rep for g in I.gens], [g.rep for g in m.gens]]
-    base_gens = algebra.defining.groebner()
-    for x in xs:
-        if not I.lift.contains(x.rep):
-            raise ValueError("sequence element outside I")
-        base = PolyIdeal(algebra.ring, base_gens)
-        rep = _fc_check_on_lift(base, x, gen_lists, 0, FcWindow())
+    for rep in fc_chain(xs, [I, algebra.irrelevant_ideal()]):
         if not rep.ok:
             raise HypothesisFail(
                 "element fails the FC checks",
@@ -343,7 +337,6 @@ def mixed_via_fc_quotient(I, xs):
                 fc2=rep.fc2_pass,
                 counterexample=list(rep.fc1_counterexample) if rep.fc1_counterexample else None,
             )
-        base_gens = base_gens + (x.rep,)
     value = quotient_multiplicity(quot).value
     init = AlgIdeal(algebra, [x.initial_form for x in xs])
     order_product = None
@@ -383,7 +376,9 @@ def invariance_check(I, E, with_oracle=True, seed=0):
     """Same-closure ideals must share degree sequences, mixed and Rees numbers.
 
     The closure hypothesis is certified by checking both ideals reduce their
-    sum; the invariants are then computed independently on each side.
+    sum; the invariants are then computed independently on each side.  Each
+    degree sequence is the witness of that side's Rees fast path, read off
+    the one search kept on the ideal.
     """
     algebra = I.algebra
     if E.algebra != algebra:
@@ -398,10 +393,6 @@ def invariance_check(I, E, with_oracle=True, seed=0):
             lhs_verdict=cert_i.verdict,
             rhs_verdict=cert_e.verdict,
         )
-    J_i, _ = find_minimal_reduction(I, seed=seed)
-    J_e, _ = find_minimal_reduction(E, seed=seed)
-    seq_i = reduction_degrees(I, J_i)
-    seq_e = reduction_degrees(E, J_e)
     fp_i = rees_multiplicity_fastpath(I, seed=seed)
     fp_e = rees_multiplicity_fastpath(E, seed=seed)
     oracles = ()
@@ -412,4 +403,5 @@ def invariance_check(I, E, with_oracle=True, seed=0):
             bhattacharya_oracle([I]).entries,
             bhattacharya_oracle([E]).entries,
         )
+    seq_i, seq_e = (tuple(fp.witness["degree_sequence"]) for fp in (fp_i, fp_e))
     return InvarianceReport(certified, seq_i, seq_e, fp_i.value, fp_e.value, *oracles)

@@ -10,14 +10,16 @@ are minimally generated, so on homogeneous input the degrees of the
 generators the search drew are the degree sequence of the reduction it
 returns (reduction_degrees).
 
-FC checks run inside quotients by earlier sequence members; those quotients
-are handled entirely on polynomial lifts, so nothing here needs the quotient
-to be graded.  When the lift, the element x and every ideal are homogeneous,
-FC1 is decided for every window tuple from two multi-Rees presentations per
-element (rees.multi_rees), S[I_k t_k, x u] and (S/x)[I_k t_k] with S the
-quotient by the lift: the products K_n and x K_n and the image of K_n mod x
-are graded pieces of these algebras, counted as standard monomials in a
-weight order, so no basis is built per tuple.  Other input checks FC1 as
+One routine, fc_chain, checks each element of a weak-FC sequence inside the
+quotient by earlier members; fc_check_element, build_fc_sequence and the
+quotient route of mixed_rees all run it.  Those quotients are handled
+entirely on polynomial lifts, so nothing here needs them to be graded.  When
+the lift, the element x and every ideal are homogeneous, FC1 is decided for
+every window tuple from two multi-Rees presentations per element
+(rees.multi_rees), S[I_k t_k, x u] and (S/x)[I_k t_k] with S the quotient by
+the lift: the products K_n and x K_n and the image of K_n mod x are graded
+pieces of these algebras, counted as standard monomials in a weight order,
+so no basis is built per tuple.  Other input checks FC1 as
 B : x = K_n + (base : x) by a colon; the one annihilator base : x per
 element also decides FC2.
 """
@@ -516,30 +518,48 @@ def _fc_check_on_lift(base, x, gen_lists, slot, window):
     return FcReport(slot, x.order, counter is None, fc2_wit is None, window, counter, fc2_wit)
 
 
-def fc_check_element(x, ideals, slot, window=None):
-    """FC checks for x in ideals[slot] relative to the whole ideal tuple.
+def fc_chain(xs, ideals, slot=0, window=None):
+    """FC reports of x_1, x_2, .. in turn, each x_i checked in the quotient
+    by its predecessors relative to the whole ideal tuple, up to and
+    including the first failing report.
 
     FC2 (filter-regularity) is exact; FC1 (the intersection identity) is
     verified over the finite exponent window as B : x = K_n + (base : x),
     from Hilbert series on homogeneous input and by a colon otherwise, with
-    the same verdicts (see _fc_check_on_lift).
+    the same verdicts (see _fc_check_on_lift).  Modulo its predecessors x_i
+    must be nonzero, in ideals[slot] and not in m * ideals[slot], or
+    ValueError is raised after the reports before it.
     """
     if window is None:
         window = FcWindow()
-    algebra = x.algebra
-    if x.is_zero():
-        raise ValueError("zero element")
-    if not ideals or any(i.algebra != algebra for i in ideals):
+    if not ideals or any(i.algebra != ideals[0].algebra for i in ideals):
         raise ValueError("need a nonempty tuple of ideals of the same algebra")
     if slot < 0 or slot >= len(ideals):
         raise ValueError("slot out of range")
-    if not ideals[slot].contains(x):
-        raise ValueError("element does not lie in its slot ideal")
-    if ideals[slot].times_irrelevant().lift.contains(x.rep):
-        raise ValueError("element lies in m * (slot ideal)")
-    base = PolyIdeal(algebra.ring, algebra.defining.groebner())
+    algebra = ideals[0].algebra
     gen_lists = [[g.rep for g in ideal.gens] for ideal in ideals]
-    return _fc_check_on_lift(base, x, gen_lists, slot, window)
+    mi_gens = ideals[slot].times_irrelevant().lift.gens
+    base_gens = algebra.defining.groebner()
+    for x in xs:
+        if x.algebra != algebra:
+            raise ValueError("element and ideals from different algebras")
+        base = PolyIdeal(algebra.ring, base_gens)
+        if base.contains(x.rep):
+            raise ValueError("zero element")
+        if not ideals[slot].contains(x):
+            raise ValueError("element does not lie in its slot ideal")
+        if PolyIdeal(algebra.ring, base_gens + mi_gens).contains(x.rep):
+            raise ValueError("element lies in m * (slot ideal)")
+        report = _fc_check_on_lift(base, x, gen_lists, slot, window)
+        yield report
+        if not report.ok:
+            return
+        base_gens += (x.rep,)
+
+
+def fc_check_element(x, ideals, slot, window=None):
+    """FC checks for x in ideals[slot]: the one report of fc_chain([x], ...)."""
+    return next(fc_chain([x], ideals, slot, window))
 
 
 class FcSequence(namedtuple("FcSequence", "elements reports o_values attempt")):
@@ -549,14 +569,14 @@ class FcSequence(namedtuple("FcSequence", "elements reports o_values attempt")):
 def build_fc_sequence(J, I, seed=0, retries=DEFAULT_RETRIES, window=None):
     """Triangular recombinations of the minimal basis of J passing FC checks.
 
-    Element i is checked in the quotient by its predecessors against the tuple
-    (J, I, m); orders are reported in the original algebra.  The sequence
-    must regenerate J at the origin (AlgIdeal.generated_at_origin_by), as
-    the minimal basis it recombines does.  Raises
-    SearchExhausted with the deepest level reached when retries run out.
+    Each attempt runs fc_chain against the tuple (J, I, m), up to the first
+    element whose order differs from that of its basis element; a failed
+    guard ends the attempt with the reports before it.  Orders are reported
+    in the original algebra.  The sequence must regenerate J at the origin
+    (AlgIdeal.generated_at_origin_by), as the minimal basis it recombines
+    does.  Raises SearchExhausted with the deepest level reached when
+    retries run out.
     """
-    if window is None:
-        window = FcWindow()
     algebra = J.algebra
     cert = is_reduction(J, I)
     if not cert.ok:
@@ -570,13 +590,7 @@ def build_fc_sequence(J, I, seed=0, retries=DEFAULT_RETRIES, window=None):
         raise ValueError(
             f"J is not minimal: {count} generators vs analytic spread {spread}"
         )
-    m = algebra.irrelevant_ideal()
-    gen_lists = [
-        [g.rep for g in J.gens],
-        [g.rep for g in I.gens],
-        [g.rep for g in m.gens],
-    ]
-    mj_lift_gens = J.times_irrelevant().lift.gens
+    ideals = [J, I, algebra.irrelevant_ideal()]
     field_ = algebra.ring.field
     rng = random.Random(seed)
     best_level = -1
@@ -591,29 +605,14 @@ def build_fc_sequence(J, I, seed=0, retries=DEFAULT_RETRIES, window=None):
                 for l in range(i + 1, count):
                     combo = combo + field_.random(rng) * basis[l]
                 xs.append(combo)
+        end = next((i for i, x in enumerate(xs) if x.order != basis[i].order), count)
         reports = []
-        failed = False
-        base_gens = algebra.defining.groebner()
-        for i, x in enumerate(xs):
-            base = PolyIdeal(algebra.ring, base_gens)
-            if x.order != basis[i].order:
-                failed = True
-                break
-            # x must stay a minimal generator of J modulo predecessors
-            if PolyIdeal(algebra.ring, base.gens + mj_lift_gens).contains(x.rep):
-                failed = True
-                break
-            try:
-                rep = _fc_check_on_lift(base, x, gen_lists, 0, window)
-            except ValueError:
-                failed = True
-                break
-            reports.append(rep)
-            if not rep.ok:
-                failed = True
-                break
-            base_gens = base_gens + (x.rep,)
-        if not failed:
+        try:
+            for report in fc_chain(xs[:end], ideals, 0, window):
+                reports.append(report)
+        except ValueError:
+            pass
+        if len(reports) == count and all(r.ok for r in reports):
             if not J.generated_at_origin_by(x.rep for x in xs):
                 raise ArithmeticError("sequence does not regenerate J")
             return FcSequence(

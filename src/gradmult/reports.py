@@ -157,7 +157,7 @@ def _retries(command):
     return retries
 
 
-def _capture(out, values, witnesses, slot, fn, *args, **kwargs):
+def _capture(values, witnesses, slot, fn, *args, **kwargs):
     """Run one route; a coded refusal becomes that slot's value instead of
     aborting the command, so the other route still reports."""
     try:
@@ -165,7 +165,6 @@ def _capture(out, values, witnesses, slot, fn, *args, **kwargs):
     except (HypothesisFail, FitMismatch, Inconclusive, SearchExhausted) as exc:
         values[slot] = exc.code
         witnesses[slot] = exc.payload()
-        out.append(exc.code)
         return None
     return res
 
@@ -176,9 +175,9 @@ def _dual_route(mode, fastpath, oracle, tags):
     A coded refusal of the fast path fills its slot (see _capture); the
     oracle's window leads its witness; agree is set only when both ran.
     """
-    values, methods, witnesses, failures = {}, {}, {}, []
+    values, methods, witnesses = {}, {}, {}
     if mode in ("fastpath", "both"):
-        res = _capture(failures, values, witnesses, "fastpath", fastpath)
+        res = _capture(values, witnesses, "fastpath", fastpath)
         if res is not None:
             values["fastpath"] = res.value
             methods["fastpath"] = res.method
@@ -312,10 +311,13 @@ def _cmd_rees_mult(session, command):
 def _cmd_mixed(session, command):
     ideal = _need(session.ideals, "ideal", command)
     mode = _mode(command, allowed=("oracle", "both"))
-    n0 = command.options.get("n0", (2, 5))
-    nr = command.options.get("n", (2, 5))
+    grid = {}
+    if "n0" in command.options:
+        grid["n0_range"] = command.options["n0"]
+    if "n" in command.options:
+        grid["n_ranges"] = (command.options["n"],)
     seed = _seed(command, session)
-    table = bhattacharya_oracle([ideal], n0_range=n0, n_ranges=(nr,))
+    table = bhattacharya_oracle([ideal], **grid)
     values = {
         "q": table.q,
         "table": {_key(k): v for k, v in sorted(table.entries.items())},
@@ -329,21 +331,22 @@ def _cmd_mixed(session, command):
     if mode == "both":
         d = session.algebra.dim
         fast = {}
-        failures = []
         comparisons = []
         for i in range(d):
-            # every type index reads the one search kept on the ideal
+            # every type index reads the one search kept on the ideal; a
+            # refusal fills its slot and the table cannot agree
             res = _capture(
-                failures, fast, witnesses, f"fastpath[{i}]", mixed_fastpath, ideal, i=i, seed=seed
+                fast, witnesses, f"fastpath[{i}]", mixed_fastpath, ideal, i=i, seed=seed
             )
             if res is None:
+                comparisons.append(False)
                 break
             fast[str(i)] = res.value
             if table.q == d:
                 comparisons.append(res.value == table.entry_for_type(i))
         values["fastpath"] = fast
         methods["fastpath"] = "fastpath-cor-3.2(i)"
-        agree = bool(comparisons) and all(comparisons) and not failures
+        agree = bool(comparisons) and all(comparisons)
     return values, methods, witnesses, agree, TAG_MIXED
 
 

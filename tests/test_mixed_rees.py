@@ -281,6 +281,19 @@ def test_mixed_via_fc_quotient_guards(kxy):
         mixed_via_fc_quotient(m2, [y])
 
 
+def test_mixed_via_fc_quotient_guards_each_element_as_fc_seq_does():
+    # the quotient route runs the chain of fc_seq: h = y^2 lies in m * m, a
+    # usage error there as for a single element, while g = y + z^2 passes
+    S = make_algebra(poly_ring(("x", "y", "z"), PrimeField(32003)))
+    x, y, z = S.gens()
+    M = AlgIdeal(S, [x, y, z])
+    f = x + y * y
+    with pytest.raises(ValueError, match=r"element lies in m \* \(slot ideal\)"):
+        mixed_via_fc_quotient(M, [f, y * y])
+    report = mixed_via_fc_quotient(M, [f, y + z * z])
+    assert (report.value, report.order_route_value, report.agree) == (1, 1, True)
+
+
 def test_mixed_via_fc_quotient_builds_no_fiber_cone(monkeypatch):
     # the height check reads the codimension of I: no Rees presentation
     calls = []
@@ -368,15 +381,16 @@ HEAVY_SCRIPTS = {
 
 # rees.multi_rees calls per command, memo cleared.  A rees_mult command
 # builds one presentation, kept on its ideal, for the fiber cone and the
-# oracle; invariance builds one per ideal (I, E, I + E) and one per table.
+# oracle, and a one-ideal table reads it too; invariance builds one per
+# ideal (I, E, I + E).
 REES_BUILDS = {
     "heavy_fc": [5],
-    "heavy_mixed": [0, 2],
+    "heavy_mixed": [0, 1],
     "heavy_rees": [1, 1],
     "counterexample": [0, 0, 1, 0],
     "hyper": [0, 1, 1],
-    "invariance": [5],
-    "rees": [1, 1, 1, 1, 4],
+    "invariance": [3],
+    "rees": [1, 1, 1, 0, 4],
     "thm210": [1, 1, 0, 2],
 }
 

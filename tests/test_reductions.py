@@ -18,7 +18,7 @@ from gradmult import (
     make_algebra,
     poly_ring,
 )
-from gradmult.reductions import FcWindow
+from gradmult.reductions import FcWindow, fc_chain
 
 
 def test_is_reduction_certificates(kxy):
@@ -192,6 +192,51 @@ def test_fc_check_element_guards(kxy, nondomain):
         fc_check_element(X, [AlgIdeal(nondomain, [X])], 0)
 
 
+def chain_case():
+    """k[x,y,z] with the tuple (m, (x^2, y)): z passes, y then fails FC1."""
+    S = make_algebra(poly_ring(("x", "y", "z")))
+    x, y, z = S.gens()
+    return S, [AlgIdeal(S, [x, y, z]), AlgIdeal(S, [x * x, y])]
+
+
+def test_fc_chain_stops_after_the_first_failure():
+    S, ideals = chain_case()
+    x, y, z = S.gens()
+    # x^2 lies in m * m: were it reached, its guard would raise
+    reports = list(fc_chain([z, y, x * x], ideals))
+    assert [r.ok for r in reports] == [True, False]
+    assert [r.order for r in reports] == [1, 1]
+    assert reports[1].fc1_counterexample == (2, 1)
+    assert reports[1].fc2_pass
+
+
+@pytest.mark.parametrize("second, message", [
+    ("3*x", "zero element"),
+    ("x + y^2", r"element lies in m \* \(slot ideal\)"),
+    ("z", "element does not lie in its slot ideal"),
+])
+def test_fc_chain_guard_raises_after_the_reports_before_it(kxyz, second, message):
+    # each guard is taken modulo the predecessors: 3x is zero and x + y^2
+    # is y^2, in m * m, once x is divided out
+    x, y, z = kxyz.gens()
+    xs = {"3*x": 3 * x, "x + y^2": x + y * y, "z": z}
+    reports = []
+    with pytest.raises(ValueError, match=message):
+        for report in fc_chain([x, xs[second], y], [AlgIdeal(kxyz, [x, y])]):
+            reports.append(report)
+    assert len(reports) == 1
+    assert reports[0].ok
+
+
+def test_fc_check_element_is_the_one_element_chain():
+    S, ideals = chain_case()
+    x, y, z = S.gens()
+    for el in (z, y, y + z):
+        assert fc_check_element(el, ideals, 0) == next(fc_chain([el], ideals))
+    window = FcWindow(2, 3, 0, 1)
+    assert fc_check_element(y, ideals, 1, window) == next(fc_chain([y], ideals, 1, window))
+
+
 def test_build_fc_sequence_on_reduction(kxy):
     x, y = kxy.gens()
     m2 = AlgIdeal(kxy, [x, y]).power(2)
@@ -221,6 +266,19 @@ def test_build_fc_sequence_regenerates_j_at_the_origin(field):
     assert fc.o_values == degree_sequence(I) == (1,)
     assert all(r.ok for r in fc.reports)
     assert not PolyIdeal(ring, tuple(e.rep for e in fc.elements)).equals(I.lift)
+
+
+def test_build_fc_sequence_exhausted_payload():
+    # over fp(2) the recombinations of the minimal basis of J fail at their
+    # second element in both attempts: the deepest level reached is 0
+    ring = poly_ring(("x", "y", "z"), PrimeField(2))
+    x, y, z = ring.gens()
+    S = make_algebra(ring, [x * y, x * z])
+    x, y, z = S.gens()
+    J = AlgIdeal(S, [x + z, x + y + z])
+    with pytest.raises(SearchExhausted) as exc:
+        build_fc_sequence(J, S.irrelevant_ideal(), seed=2, retries=2)
+    assert exc.value.details == {"best_level": 0, "retries": 2}
 
 
 def test_build_fc_sequence_guards(kxy):
